@@ -3,16 +3,26 @@
 // The IR addresses a single flat byte address space. All accesses are
 // 8-byte, 8-aligned (the IR has only 64-bit loads/stores). Address 0 is
 // reserved as the null pointer.
+//
+// The space is lazily zeroed (calloc of a size the allocator serves from
+// fresh anonymous pages): a run faults in only the pages it touches, which
+// are the ones below brk(). Every interpreter run builds its own Memory, so
+// an eager zero-fill of the whole space would cost each run ~16k page
+// faults the workloads never use.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 namespace spt::interp {
 
 class Memory {
  public:
   explicit Memory(std::size_t size_bytes = 64u << 20);
+  /// Interpreters hold a reference to their Memory for the whole run.
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   std::int64_t load64(std::uint64_t addr) const;
   void store64(std::uint64_t addr, std::int64_t value);
@@ -22,16 +32,21 @@ class Memory {
   std::uint64_t alloc(std::uint64_t bytes);
 
   std::uint64_t brk() const { return brk_; }
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
 
   /// FNV-1a hash of the allocated region — used by tests to prove the SPT
   /// transformation preserved sequential semantics.
   std::uint64_t hash() const;
 
  private:
+  struct Free {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   void checkAccess(std::uint64_t addr) const;
 
-  std::vector<std::uint8_t> bytes_;
+  std::unique_ptr<std::uint8_t[], Free> bytes_;
+  std::size_t size_;
   std::uint64_t brk_ = 8;  // skip the null page slot
 };
 

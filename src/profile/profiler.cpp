@@ -189,7 +189,11 @@ void Profiler::onRecord(const trace::Record& record) {
     if (tracker.has_prev) {
       ValueStats& stats = data_.values[record.sid];
       ++stats.samples;
-      ++stats.delta_counts[record.value - tracker.prev];
+      // Wrapping subtraction, as the interpreter computes kSub: the stride
+      // between INT64_MIN and INT64_MAX is well defined, not an overflow.
+      ++stats.delta_counts[static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(record.value) -
+          static_cast<std::uint64_t>(tracker.prev))];
     }
     tracker.has_prev = true;
     tracker.prev = record.value;

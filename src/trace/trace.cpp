@@ -1,6 +1,17 @@
 #include "trace/trace.h"
 
+#include <cstring>
+#include <utility>
+
 #include "support/check.h"
+
+#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+#define SPT_TRACE_BUFFER_POSIX 1
+#include <sys/mman.h>
+#else
+#define SPT_TRACE_BUFFER_POSIX 0
+#include <cstdlib>
+#endif
 
 namespace spt::trace {
 
@@ -10,6 +21,85 @@ std::size_t TraceView::instrCount() const {
     if (r.kind == RecordKind::kInstr) ++n;
   }
   return n;
+}
+
+namespace {
+
+// 1024 records are 40 KiB, ten 4 KiB pages: all a tiny trace ever maps.
+constexpr std::size_t kInitialRecords = 1024;
+
+void* mapBytes(std::size_t bytes) {
+#if SPT_TRACE_BUFFER_POSIX
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  return p == MAP_FAILED ? nullptr : p;
+#else
+  return std::malloc(bytes);
+#endif
+}
+
+void unmapBytes(void* p, std::size_t bytes) {
+#if SPT_TRACE_BUFFER_POSIX
+  ::munmap(p, bytes);
+#else
+  (void)bytes;
+  std::free(p);
+#endif
+}
+
+}  // namespace
+
+TraceBuffer::TraceBuffer(TraceBuffer&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      capacity_(std::exchange(other.capacity_, 0)) {}
+
+TraceBuffer& TraceBuffer::operator=(TraceBuffer&& other) noexcept {
+  if (this != &other) {
+    release();
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+  }
+  return *this;
+}
+
+TraceBuffer::~TraceBuffer() { release(); }
+
+void TraceBuffer::release() {
+  if (data_ != nullptr) unmapBytes(data_, capacity_ * sizeof(Record));
+  data_ = nullptr;
+  size_ = 0;
+  capacity_ = 0;
+}
+
+void TraceBuffer::grow() {
+  const std::size_t capacity =
+      capacity_ == 0 ? kInitialRecords : 2 * capacity_;
+  const std::size_t bytes = capacity * sizeof(Record);
+  void* p = nullptr;
+  if (data_ == nullptr) {
+    p = mapBytes(bytes);
+  } else {
+#if defined(__linux__)
+    // Moves page-table entries, never records; filled pages stay faulted.
+    p = ::mremap(data_, capacity_ * sizeof(Record), bytes, MREMAP_MAYMOVE);
+    if (p == MAP_FAILED) p = nullptr;
+#else
+    p = mapBytes(bytes);
+    if (p != nullptr) {
+      std::memcpy(p, data_, size_ * sizeof(Record));
+      unmapBytes(data_, capacity_ * sizeof(Record));
+    }
+#endif
+  }
+  SPT_CHECK_MSG(p != nullptr, "trace buffer mapping failed");
+#if defined(MADV_HUGEPAGE)
+  // A hint only: where transparent huge pages are off it fails harmlessly.
+  (void)::madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+  data_ = static_cast<Record*>(p);
+  capacity_ = capacity;
 }
 
 std::size_t TraceBuffer::instrCount() const { return view().instrCount(); }

@@ -2,11 +2,19 @@
 // records, loop markers, fork resolution.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "interp/interpreter.h"
 #include "interp/memory.h"
 #include "interp/program_context.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "support/check.h"
+#include "support/error.h"
 #include "test_programs.h"
 #include "trace/trace.h"
 
@@ -49,6 +57,66 @@ TEST(Memory, HashChangesWithContent) {
   const auto h0 = mem.hash();
   mem.store64(a, 7);
   EXPECT_NE(mem.hash(), h0);
+}
+
+TEST(Memory, UntouchedSlotsReadZero) {
+  // The space is lazily zeroed: slots nobody wrote read 0 anywhere in it,
+  // including the first and last valid 8-byte slot.
+  Memory mem;
+  EXPECT_EQ(mem.size(), 64u << 20);
+  EXPECT_EQ(mem.load64(8), 0);
+  EXPECT_EQ(mem.load64(mem.size() / 2), 0);
+  EXPECT_EQ(mem.load64(mem.size() - 8), 0);
+  mem.store64(mem.size() - 8, -1);
+  EXPECT_EQ(mem.load64(mem.size() - 8), -1);
+  EXPECT_EQ(mem.load64(mem.size() - 16), 0);
+}
+
+TEST(Memory, HashIsFnv1aOverTheAllocatedImage) {
+  Memory mem;
+  const std::uint64_t base = mem.alloc(1u << 20);
+  // Reference image of [0, brk): every byte the hash covers.
+  std::vector<std::uint8_t> image(mem.brk(), 0);
+  std::mt19937_64 rng(12);
+  const std::uint64_t slots = (mem.brk() - base) / 8;
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t addr = base + 8 * (rng() % slots);
+    const auto value = static_cast<std::int64_t>(rng());
+    mem.store64(addr, value);
+    std::memcpy(image.data() + addr, &value, 8);
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t byte : image) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(mem.hash(), h);
+}
+
+TEST(Memory, BadAccessesAndHeapOverflowStillThrow) {
+  support::ScopedCheckThrowMode throwing(true);
+  Memory mem;
+  const std::uint64_t top = mem.size();
+  const std::uint64_t wrapped =
+      std::numeric_limits<std::uint64_t>::max() & ~7ull;
+  EXPECT_THROW(mem.load64(0), support::SptInternalError);
+  EXPECT_THROW(mem.store64(0, 1), support::SptInternalError);
+  EXPECT_THROW(mem.load64(12), support::SptInternalError);
+  EXPECT_THROW(mem.store64(top - 4, 1), support::SptInternalError);
+  EXPECT_THROW(mem.load64(top), support::SptInternalError);
+  EXPECT_THROW(mem.store64(top, 1), support::SptInternalError);
+  // addr + 8 wraps to 0 here; the bound must not be fooled by it.
+  EXPECT_THROW(mem.load64(wrapped), support::SptInternalError);
+  EXPECT_THROW(mem.store64(wrapped, 1), support::SptInternalError);
+  EXPECT_THROW(mem.alloc(top), support::SptInternalError);
+  // Rounding UINT64_MAX up to 8 wraps to 0; still an overflow.
+  EXPECT_THROW(mem.alloc(std::numeric_limits<std::uint64_t>::max()),
+               support::SptInternalError);
+  // A failed alloc leaves the break where it was; the rest still fits.
+  EXPECT_EQ(mem.brk(), 8u);
+  EXPECT_EQ(mem.alloc(top - 8), 8u);
+  EXPECT_EQ(mem.brk(), top);
+  EXPECT_THROW(mem.alloc(1), support::SptInternalError);
 }
 
 TEST(Interpreter, ArraySumComputesCorrectValue) {

@@ -1,6 +1,8 @@
 // Unit tests for src/profile: branch, loop, dependence and value profiling.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "profile/profiler.h"
@@ -191,6 +193,61 @@ TEST(Profiler, ValueProfileFindsStride) {
   EXPECT_EQ(it->second.bestStride(), 2);
   EXPECT_DOUBLE_EQ(it->second.predictability(), 1.0);
   EXPECT_EQ(it->second.samples, 63u);
+}
+
+TEST(Profiler, ValueProfileStrideWrapsAtTheInt64Extremes) {
+  // x alternates INT64_MIN / INT64_MAX (x = -1 - x). The stride between
+  // them is a wrapping subtraction, as the interpreter's kSub computes it;
+  // run under UBSan this used to report a signed overflow.
+  Profiled p;
+  const FuncId f = p.module.addFunction("main", 0);
+  IrBuilder b(p.module, f);
+  const BlockId entry = b.createBlock("entry");
+  const BlockId head = b.createBlock("flip_loop");
+  const BlockId body = b.createBlock("body");
+  const BlockId ex = b.createBlock("exit");
+  const Reg x = b.func().newReg();
+  const Reg i = b.func().newReg();
+  const Reg n = b.func().newReg();
+  b.setInsertPoint(entry);
+  b.constTo(x, std::numeric_limits<std::int64_t>::min());
+  b.constTo(i, 0);
+  b.constTo(n, 64);
+  b.br(head);
+  b.setInsertPoint(head);
+  const Reg c = b.cmpLt(i, n);
+  b.condBr(c, body, ex);
+  b.setInsertPoint(body);
+  const Reg minus_one = b.iconst(-1);
+  const Reg flipped = b.sub(minus_one, x);  // <- value candidate
+  b.movTo(x, flipped);
+  const Reg one = b.iconst(1);
+  const Reg i2 = b.add(i, one);
+  b.movTo(i, i2);
+  b.br(head);
+  b.setInsertPoint(ex);
+  b.ret(x);
+  p.module.setMainFunc(f);
+
+  p.module.finalize();
+  StaticId candidate = kInvalidStaticId;
+  for (const auto& block : p.module.function(f).blocks) {
+    for (const auto& instr : block.instrs) {
+      if (instr.op == Opcode::kSub && instr.dst == flipped) {
+        candidate = instr.static_id;
+      }
+    }
+  }
+  ASSERT_NE(candidate, kInvalidStaticId);
+  runProfiled(p, {candidate});
+
+  // Values MAX, MIN, MAX, ...: MIN - MAX wraps to +1, MAX - MIN to -1.
+  const auto it = p.data.values.find(candidate);
+  ASSERT_NE(it, p.data.values.end());
+  EXPECT_EQ(it->second.samples, 63u);
+  ASSERT_EQ(it->second.delta_counts.size(), 2u);
+  EXPECT_EQ(it->second.delta_counts.at(1), 32u);
+  EXPECT_EQ(it->second.delta_counts.at(-1), 31u);
 }
 
 TEST(Profiler, TotalInstrsMatchesInterpreter) {

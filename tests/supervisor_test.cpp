@@ -1282,7 +1282,7 @@ TEST(Checkpoint, HostileDiagnosticsSurviveFormatParseRoundTrip) {
 }
 
 TEST(Checkpoint, HostileFieldsSurviveARealFileViaLoadCheckpoint) {
-  const std::string path = ::testing::TempDir() + "/spt_hostile_ck.txt";
+  const std::string path = ::testing::TempDir() + "/spt_hostile_fields_ck.txt";
   CheckpointLine line;
   line.status = CellStatus::kCrashed;
   line.benchmark = "gzip";

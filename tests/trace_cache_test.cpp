@@ -41,7 +41,7 @@ TEST(TraceCache, ProducesOnceThenServesFromMemory) {
     ++producer_calls;
     meta->word0 = 0xfeedbeefull;
     meta->word1 = 0x1234abcdull;
-    return run.trace;
+    return tracedArraySum(64).trace;  // TraceBuffer is move-only
   };
 
   const TraceCache::Entry& first = cache.get("arraysum.a", produce);
@@ -77,7 +77,7 @@ TEST(TraceCache, AdoptsFileWrittenByAnotherCache) {
     writer.get("arraysum.b", [&](trace::TraceFileMeta* meta) {
       meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
       meta->word1 = run.result.memory_hash;
-      return run.trace;
+      return tracedArraySum(32).trace;
     });
   }
 
@@ -85,7 +85,7 @@ TEST(TraceCache, AdoptsFileWrittenByAnotherCache) {
   const TraceCache::Entry& entry =
       reader.get("arraysum.b", [&](trace::TraceFileMeta*) {
         ADD_FAILURE() << "producer ran despite a valid file on disk";
-        return run.trace;
+        return trace::TraceBuffer{};
       });
   EXPECT_EQ(reader.fileReuses(), 1u);
   EXPECT_EQ(reader.produced(), 0u);
@@ -99,11 +99,11 @@ TEST(TraceCache, DistinctKeysGetDistinctFiles) {
   TraceCache cache(freshDir("keys"));
   const TracedRun small = tracedArraySum(8);
   const TracedRun large = tracedArraySum(200);
-  const auto producerOf = [](const TracedRun& run) {
-    return [&run](trace::TraceFileMeta*) { return run.trace; };
+  const auto producerOf = [](int n) {
+    return [n](trace::TraceFileMeta*) { return tracedArraySum(n).trace; };
   };
-  const TraceCache::Entry& a = cache.get("k.small", producerOf(small));
-  const TraceCache::Entry& b = cache.get("k.large", producerOf(large));
+  const TraceCache::Entry& a = cache.get("k.small", producerOf(8));
+  const TraceCache::Entry& b = cache.get("k.large", producerOf(200));
   EXPECT_EQ(cache.produced(), 2u);
   EXPECT_NE(a.path, b.path);
   EXPECT_EQ(a.view.size(), small.trace.size());

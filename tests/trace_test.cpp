@@ -2,10 +2,17 @@
 // across calls and recursion, and loop naming.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "test_programs.h"
 #include "trace/trace.h"
+#include "trace/trace_io.h"
 
 namespace spt::trace {
 namespace {
@@ -189,6 +196,127 @@ TEST(LoopIndex, InstrCountMatchesBuffer) {
     instrs += rec.kind == RecordKind::kInstr;
   }
   EXPECT_EQ(t.buf.instrCount(), instrs);
+}
+
+// ------------------------------------------------------------------------
+// TraceBuffer storage: growth, moves, empty buffers, v3 round trips.
+
+/// Reference sink: the records as a plain std::vector.
+struct VectorSink final : TraceSink {
+  std::vector<Record> records;
+  void onRecord(const Record& record) override { records.push_back(record); }
+};
+
+bool sameBytes(TraceView a, const std::vector<Record>& b) {
+  return a.size() == b.size() &&
+         (b.empty() ||
+          std::memcmp(a.data(), b.data(), b.size() * sizeof(Record)) == 0);
+}
+
+Record syntheticRecord(std::size_t i) {
+  Record r;
+  r.sid = static_cast<ir::StaticId>(i);
+  r.value = static_cast<std::int64_t>(i * 2654435761u);
+  r.mem_addr = i * 8;
+  return r;
+}
+
+TEST(TraceBuffer, GrowthAcrossDoublingsKeepsRecordsByteEqual) {
+  // Trace a real program through a tee, so the buffer and the vector see
+  // the same stream; ~16k records cross the 1024-record start >= 3 times.
+  TracedModule t;
+  VectorSink reference;
+  TeeSink tee;
+  tee.add(&t.buf);
+  tee.add(&reference);
+  testing::buildArraySum(t.m, 2000);
+  t.m.finalize();
+  interp::ProgramContext ctx(t.m);
+  interp::Memory mem;
+  interp::Interpreter interp(ctx, mem, tee);
+  interp.runMain();
+  ASSERT_GT(t.buf.size(), 8u * 1024);
+  EXPECT_TRUE(sameBytes(t.buf, reference.records));
+  std::size_t i = 0;
+  for (const Record& r : t.buf.records()) {
+    EXPECT_EQ(&r, &t.buf[i++]);
+  }
+  EXPECT_EQ(i, t.buf.size());
+}
+
+TEST(TraceBuffer, MovesLeaveTheSourceEmptyAndUsable) {
+  TraceBuffer a;
+  std::vector<Record> reference;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    a.onRecord(syntheticRecord(i));
+    reference.push_back(syntheticRecord(i));
+  }
+  TraceBuffer b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.view().empty());
+  EXPECT_TRUE(sameBytes(b, reference));
+
+  // The moved-from buffer grows again from scratch.
+  a.onRecord(syntheticRecord(7));
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].sid, 7u);
+
+  // Assignment releases the target's old records and empties the source.
+  a = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.view().empty());
+  EXPECT_TRUE(sameBytes(a, reference));
+  b.onRecord(syntheticRecord(9));
+  EXPECT_EQ(b.size(), 1u);
+
+  TraceBuffer& self = a;
+  a = std::move(self);  // self-move keeps the records
+  EXPECT_TRUE(sameBytes(a, reference));
+}
+
+TEST(TraceBuffer, EmptyBufferIsAValidEmptyView) {
+  const TraceBuffer empty;
+  const TraceView view = empty;
+  EXPECT_TRUE(view.empty());
+  EXPECT_EQ(view.begin(), view.end());
+  EXPECT_EQ(empty.instrCount(), 0u);
+
+  Module m("t");
+  testing::buildArraySum(m, 4);
+  m.finalize();
+  const LoopIndex index(m, empty);
+  EXPECT_TRUE(index.episodes().empty());
+
+  std::ostringstream os;
+  ASSERT_TRUE(writeTraceV3(os, empty));
+  const std::string path = ::testing::TempDir() + "/spt_trace_empty.spt3";
+  ASSERT_TRUE(writeTraceV3File(path, empty));
+  std::string error;
+  const auto mapped = MappedTrace::open(path, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  EXPECT_EQ(mapped->size(), 0u);
+}
+
+TEST(TraceBuffer, GrownBufferV3RoundTripIsByteIdentical) {
+  TracedModule t;
+  testing::buildArraySum(t.m, 1500);
+  t.run();
+  ASSERT_GT(t.buf.size(), 8u * 1024);
+  const TraceFileMeta meta{0x5eedull, 0xfaceull};
+  const std::string path = ::testing::TempDir() + "/spt_trace_grown.spt3";
+  ASSERT_TRUE(writeTraceV3File(path, t.buf, meta));
+  std::string error;
+  const auto mapped = MappedTrace::open(path, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  ASSERT_EQ(mapped->size(), t.buf.size());
+  EXPECT_EQ(std::memcmp(mapped->view().data(), t.buf.view().data(),
+                        t.buf.size() * sizeof(Record)),
+            0);
+  // Writing the mapped records back out reproduces the file exactly.
+  std::ostringstream from_buffer, from_mapping;
+  ASSERT_TRUE(writeTraceV3(from_buffer, t.buf, meta));
+  ASSERT_TRUE(writeTraceV3(from_mapping, *mapped, mapped->meta()));
+  EXPECT_EQ(from_buffer.str(), from_mapping.str());
 }
 
 }  // namespace
