@@ -2,15 +2,13 @@
 //
 // A supervised worker reports its finished cell to the parent as one
 // supervisor frame (supervisor.h); the frame payload is this codec's
-// output. A one-shot fork-per-cell worker sends it as the whole v1 frame
-// payload; a warm-pool worker nests the same bytes inside a v2 pooled
-// reply after the cell/rusage header (supervisor.h's PoolReplyHeader —
-// kept there, with the frame codec, because this header already depends
-// on parallel_sweep.h which depends on supervisor.h). Either way the
-// encoding is a flat tagged field list — every JSON-visible field of a
-// SweepRow / FaultCampaignCell crosses the pipe, so an isolated run's
-// output is field-for-field identical to the in-process path's in both
-// worker models. The codec is deliberately strict: decode fails (rather
+// output, nested inside the reply after the id/rusage header
+// (supervisor.h's PoolReplyHeader — kept there, with the frame codec,
+// because this header already depends on parallel_sweep.h which depends
+// on supervisor.h). The encoding is a flat tagged field list — every
+// JSON-visible field of a SweepRow / FaultCampaignCell crosses the pipe,
+// so an isolated run's output is field-for-field identical to the
+// in-process path's. The codec is deliberately strict: decode fails (rather
 // than zero-fills) on a truncated or wrong-tag payload, and the
 // supervisor reports that as CellStatus::kProtocolError.
 #pragma once

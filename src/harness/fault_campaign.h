@@ -46,7 +46,7 @@ struct FaultCampaignOptions {
   std::string checkpoint_path;
   bool resume = false;
   /// Process isolation (supervisor.h): with supervisor.isolate set, phase
-  /// 2 cells run in forked workers (sharing phase 1's traces via
+  /// 2 cells run on the warm worker pool (sharing phase 1's traces via
   /// copy-on-write); crashes/hangs/corrupt replies become non-ok cells.
   SupervisorOptions supervisor;
 };

@@ -165,9 +165,9 @@ SweepRow runCell(const SweepCase& c, bool catch_all, TraceCache* cache) {
   return row;
 }
 
-/// The supervised sweep path (fork-per-cell, or the warm worker pool when
-/// SupervisorOptions::pool is set). `resumed` holds ok rows reused from
-/// the checkpoint; only the remaining cells go to workers.
+/// The supervised sweep path (the warm worker pool). `resumed` holds ok
+/// rows reused from the checkpoint; only the remaining cells go to
+/// workers.
 std::vector<SweepRow> runSweepSupervised(
     const ParallelSweep& sweep, const std::vector<SweepCase>& cases,
     const SweepOptions& opts, std::map<std::string, SweepRow>& resumed,
@@ -197,14 +197,14 @@ std::vector<SweepRow> runSweepSupervised(
   if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
   const Supervisor supervisor(sopts);
 
-  // The producer runs in the forked worker. Supervision implies
+  // The producer runs in a pooled worker. Supervision implies
   // quarantine semantics: a cell exception becomes a non-ok row in the
   // payload either way (the alternative — letting it escape — would just
   // downgrade a structured status into a generic worker error). With a
   // trace cache, workers rendezvous on the cache *files*: whichever
   // worker first needs a workload's trace writes it, every other worker
-  // (pooled or fork-per-cell) mmaps the same file, so the page cache
-  // holds one physical copy per workload across the whole worker fleet.
+  // mmaps the same file, so the page cache holds one physical copy per
+  // workload across the whole worker fleet.
   const auto produce = [&](std::size_t k) {
     return produceSweepCellPayload(cases[to_run[k]], cache);
   };

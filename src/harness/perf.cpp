@@ -106,11 +106,11 @@ PerfRow measure(PreparedWorkload& p, const PerfOptions& options) {
   return row;
 }
 
-/// `sptc perf --isolate`: one forked worker per workload, strictly one at
-/// a time (timing must never contend), each doing its own setup + timed
-/// measurement in a fresh address space. A worker that crashes, hangs, or
-/// garbles its reply surfaces as an SptInternalError naming the workload
-/// instead of killing the bench process.
+/// `sptc perf --isolate`: every workload's setup + timed measurement runs
+/// on a one-worker pool, so measurements stay strictly serial (timing
+/// must never contend). A worker that crashes, hangs, or garbles its
+/// reply surfaces as an SptInternalError naming the workload instead of
+/// killing the bench process.
 std::vector<PerfRow> runIsolated(const std::vector<std::string>& names,
                                  const PerfOptions& options) {
   SupervisorOptions sopts = options.supervisor;

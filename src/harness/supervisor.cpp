@@ -61,29 +61,11 @@ std::string hexDump(const std::string& bytes, std::size_t limit) {
   return out;
 }
 
-/// The highest kind a frame of `version` may carry: v1 knows only the two
-/// one-shot reply kinds; v2 adds request and cell-tagged replies; v3 adds
-/// the spec request.
-std::uint8_t maxKindForVersion(std::uint32_t version) {
-  switch (version) {
-    case kSupervisorFrameV1:
-      return kFrameKindWorkerError;
-    case kSupervisorFrameV2:
-      return kFrameKindPooledError;
-    default:
-      return kFrameKindSpecRequest;
-  }
-}
-
-bool supportedFrameVersion(std::uint32_t version) {
-  return version >= kSupervisorFrameV1 && version <= kSupervisorFrameV3;
-}
-
 }  // namespace
 
 std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload,
-                                  std::uint32_t version) {
+                                  const std::string& payload) {
+  const std::uint32_t version = kSupervisorFrameVersion;
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size() + 8);
   appendRaw(out, kFrameMagic, sizeof kFrameMagic);
@@ -117,16 +99,15 @@ bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof version);
-  if (!supportedFrameVersion(version)) {
+  if (version != kSupervisorFrameVersion) {
     return fail("unsupported frame version " + std::to_string(version) +
-                " (expected " + std::to_string(kSupervisorFrameV1) + " to " +
-                std::to_string(kSupervisorFrameV3) + ")");
+                " (expected " + std::to_string(kSupervisorFrameVersion) + ")");
   }
   std::uint8_t k = 0;
   std::memcpy(&k, bytes.data() + 8, sizeof k);
-  if (k > maxKindForVersion(version)) {
-    return fail("frame kind " + std::to_string(k) +
-                " is not valid in frame version " + std::to_string(version));
+  if (k > kFrameKindError) {
+    return fail("frame kind " + std::to_string(k) + " is not a request, "
+                "reply, or error");
   }
   std::uint64_t length = 0;
   std::memcpy(&length, bytes.data() + 9, sizeof length);
@@ -173,7 +154,7 @@ FrameScan scanSupervisorFrame(const std::string& buf,
   if (buf.size() < 8) return FrameScan::kNeedMore;
   std::uint32_t version = 0;
   std::memcpy(&version, buf.data() + 4, sizeof version);
-  if (!supportedFrameVersion(version)) {
+  if (version != kSupervisorFrameVersion) {
     return corrupt("unsupported frame version " + std::to_string(version));
   }
   if (buf.size() < kFrameHeaderBytes) return FrameScan::kNeedMore;
@@ -190,29 +171,11 @@ FrameScan scanSupervisorFrame(const std::string& buf,
   return FrameScan::kFrame;
 }
 
-std::string encodePoolRequest(std::uint64_t cell, std::uint32_t attempt) {
-  std::string out;
-  out.reserve(sizeof cell + sizeof attempt);
-  appendRaw(out, &cell, sizeof cell);
-  appendRaw(out, &attempt, sizeof attempt);
-  return out;
-}
-
-bool decodePoolRequest(const std::string& payload, std::uint64_t* cell,
-                       std::uint32_t* attempt) {
-  if (payload.size() != sizeof(std::uint64_t) + sizeof(std::uint32_t)) {
-    return false;
-  }
-  std::memcpy(cell, payload.data(), sizeof *cell);
-  std::memcpy(attempt, payload.data() + sizeof *cell, sizeof *attempt);
-  return true;
-}
-
 std::string encodePoolReply(const PoolReplyHeader& header,
                             const std::string& inner) {
   std::string out;
   out.reserve(32 + inner.size());
-  appendRaw(out, &header.cell, sizeof header.cell);
+  appendRaw(out, &header.id, sizeof header.id);
   appendRaw(out, &header.user_seconds, sizeof header.user_seconds);
   appendRaw(out, &header.sys_seconds, sizeof header.sys_seconds);
   appendRaw(out, &header.max_rss_kb, sizeof header.max_rss_kb);
@@ -224,7 +187,7 @@ bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
                      std::string* inner) {
   constexpr std::size_t kPrefix = 8 + 8 + 8 + 8;
   if (payload.size() < kPrefix) return false;
-  std::memcpy(&header->cell, payload.data(), 8);
+  std::memcpy(&header->id, payload.data(), 8);
   std::memcpy(&header->user_seconds, payload.data() + 8, 8);
   std::memcpy(&header->sys_seconds, payload.data() + 16, 8);
   std::memcpy(&header->max_rss_kb, payload.data() + 24, 8);
@@ -232,9 +195,9 @@ bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
   return true;
 }
 
-std::string encodePoolSpecRequest(std::uint64_t id, std::uint32_t attempt,
-                                  support::ChaosAction chaos,
-                                  const std::string& spec) {
+std::string encodePoolRequest(std::uint64_t id, std::uint32_t attempt,
+                              support::ChaosAction chaos,
+                              const std::string& spec) {
   std::string out;
   const std::uint8_t action = static_cast<std::uint8_t>(chaos);
   out.reserve(sizeof id + sizeof attempt + sizeof action + spec.size());
@@ -245,9 +208,9 @@ std::string encodePoolSpecRequest(std::uint64_t id, std::uint32_t attempt,
   return out;
 }
 
-bool decodePoolSpecRequest(const std::string& payload, std::uint64_t* id,
-                           std::uint32_t* attempt,
-                           support::ChaosAction* chaos, std::string* spec) {
+bool decodePoolRequest(const std::string& payload, std::uint64_t* id,
+                       std::uint32_t* attempt, support::ChaosAction* chaos,
+                       std::string* spec) {
   constexpr std::size_t kPrefix = 8 + 4 + 1;
   if (payload.size() < kPrefix) return false;
   std::memcpy(id, payload.data(), 8);
@@ -269,20 +232,25 @@ Supervisor::Supervisor(SupervisorOptions options)
   }
 }
 
-double Supervisor::backoffSeconds(std::size_t cell,
-                                  std::uint32_t attempt) const {
+double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
+                      std::uint32_t attempt) {
   if (attempt < 2) return 0.0;
   // Chain deriveSeed so cell and attempt enter the splitmix64 finalizer as
   // separate words: the old `cell * 64 + attempt` packing collided (e.g.
   // (cell 0, attempt 66) with (cell 1, attempt 2)), giving those pairs an
   // identical jitter stream.
   support::Rng rng(support::deriveSeed(
-      support::deriveSeed(options_.backoff_seed, cell), attempt));
+      support::deriveSeed(options.backoff_seed, cell), attempt));
   // Clamp the exponent: `1ull << (attempt - 2)` is UB once attempt >= 66,
   // and any delay beyond 2^62 * base is indistinguishable from forever.
   const std::uint32_t exponent = std::min<std::uint32_t>(attempt - 2, 62);
   const double factor = static_cast<double>(1ull << exponent);
-  return options_.backoff_base_seconds * factor * (1.0 + rng.nextDouble());
+  return options.backoff_base_seconds * factor * (1.0 + rng.nextDouble());
+}
+
+bool shouldRetry(const SupervisorOptions& options, CellStatus status,
+                 std::uint32_t attempt, bool stopping) {
+  return !stopping && isTransportFailure(status) && attempt <= options.retries;
 }
 
 #if SPT_SUPERVISOR_POSIX
@@ -319,11 +287,11 @@ double timevalSeconds(const timeval& tv) {
          static_cast<double>(tv.tv_usec) / 1e6;
 }
 
-/// Deterministic garbage for ChaosAction::kGarbage: seeded by the cell so
+/// Deterministic garbage for ChaosAction::kGarbage: seeded by the job id so
 /// the bytes (and thus the protocol-error diagnostics) are reproducible,
 /// and guaranteed not to start with the frame magic.
-std::string chaosGarbage(std::size_t cell) {
-  support::Rng rng(support::deriveSeed(0xc4a05, cell));
+std::string chaosGarbage(std::uint64_t id) {
+  support::Rng rng(support::deriveSeed(0xc4a05, id));
   std::string bytes(64, '\0');
   for (char& c : bytes) {
     c = static_cast<char>(rng.nextBelow(256));
@@ -333,12 +301,10 @@ std::string chaosGarbage(std::size_t cell) {
 }
 
 /// Executes a non-kNone chaos action inside a worker. Never returns except
-/// for kHang's pause loop (which also never returns). `partial_frame` is
-/// the valid reply frame whose first half a kPartial worker emits — the
-/// caller builds it in its own protocol version.
+/// for kHang's pause loop (which also never returns). A kPartial worker
+/// emits the first half of a valid reply frame to request `id`.
 [[noreturn]] void performChaos(support::ChaosAction action, int fd,
-                               std::size_t cell,
-                               const std::string& partial_frame) {
+                               std::uint64_t id) {
   switch (action) {
     case support::ChaosAction::kCrash:
       // Sanitizer runtimes install SIGSEGV handlers that turn the crash
@@ -353,62 +319,24 @@ std::string chaosGarbage(std::size_t cell) {
     case support::ChaosAction::kHang:
       for (;;) ::pause();
     case support::ChaosAction::kGarbage: {
-      const std::string garbage = chaosGarbage(cell);
+      const std::string garbage = chaosGarbage(id);
       writeAll(fd, garbage.data(), garbage.size());
       ::close(fd);
       ::_exit(0);
     }
-    case support::ChaosAction::kPartial:
-      writeAll(fd, partial_frame.data(), partial_frame.size() / 2);
+    case support::ChaosAction::kPartial: {
+      const std::string frame = encodeSupervisorFrame(
+          kFrameKindReply,
+          encodePoolReply({id, 0.0, 0.0, 0}, "chaos-partial-payload"));
+      writeAll(fd, frame.data(), frame.size() / 2);
       ::close(fd);
       ::_exit(0);
+    }
     case support::ChaosAction::kExit:
     case support::ChaosAction::kNone:  // unreachable; callers filter kNone
       ::_exit(3);
   }
   ::_exit(3);
-}
-
-/// One-shot worker body. Never returns: replies on `fd` and _exit()s.
-/// _exit (not exit) so the forked copy of the parent's atexit handlers,
-/// static destructors, and stdio buffers never run twice.
-[[noreturn]] void runWorker(int fd, std::size_t cell, std::uint32_t attempt,
-                            const SupervisorOptions& options,
-                            const Supervisor::Producer& produce) {
-  if (options.rlimit_as_bytes != 0) {
-    rlimit rl{};
-    rl.rlim_cur = static_cast<rlim_t>(options.rlimit_as_bytes);
-    rl.rlim_max = static_cast<rlim_t>(options.rlimit_as_bytes);
-    ::setrlimit(RLIMIT_AS, &rl);
-  }
-  if (options.rlimit_cpu_seconds != 0) {
-    rlimit rl{};
-    rl.rlim_cur = static_cast<rlim_t>(options.rlimit_cpu_seconds);
-    rl.rlim_max = static_cast<rlim_t>(options.rlimit_cpu_seconds + 1);
-    ::setrlimit(RLIMIT_CPU, &rl);
-  }
-
-  const support::ChaosAction chaos = options.chaos.actionFor(cell, attempt);
-  if (chaos != support::ChaosAction::kNone) {
-    performChaos(chaos, fd, cell,
-                 encodeSupervisorFrame(kFrameKindPayload,
-                                       "chaos-partial-payload"));
-  }
-
-  std::string frame;
-  try {
-    frame = encodeSupervisorFrame(kFrameKindPayload, produce(cell));
-  } catch (const std::exception& e) {
-    // Last-resort structured report (the producer normally catches cell
-    // exceptions itself): kind-1 frames carry the worker's error text.
-    frame = encodeSupervisorFrame(kFrameKindWorkerError, e.what());
-  } catch (...) {
-    frame = encodeSupervisorFrame(kFrameKindWorkerError,
-                                  "unknown worker exception");
-  }
-  const bool ok = writeAll(fd, frame.data(), frame.size());
-  ::close(fd);
-  ::_exit(ok ? 0 : 1);
 }
 
 /// Re-arms the per-cell CPU window of a pooled worker. RLIMIT_CPU counts
@@ -442,14 +370,12 @@ void armPooledCpuLimit(std::uint64_t limit_seconds) {
   }
 }
 
-/// One decoded request off a pooled worker's request pipe: either an
-/// index-mode cell (SPTW v2) or a spec-mode job (SPTW v3).
+/// One decoded request off a pooled worker's request pipe.
 struct PoolWorkerRequest {
-  std::uint64_t id = 0;  // cell index (v2) or opaque token (v3)
+  std::uint64_t id = 0;
   std::uint32_t attempt = 1;
-  bool has_spec = false;
-  support::ChaosAction chaos = support::ChaosAction::kNone;  // v3 only
-  std::string spec;                                          // v3 only
+  support::ChaosAction chaos = support::ChaosAction::kNone;
+  std::string spec;
 };
 
 /// Blocks until one complete request frame is buffered, decoded, and
@@ -465,24 +391,13 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
       std::uint8_t kind = 0;
       std::string payload;
       if (!decodeSupervisorFrame(buf.substr(0, frame_bytes), &kind, &payload,
-                                 nullptr)) {
+                                 nullptr) ||
+          kind != kFrameKindRequest ||
+          !decodePoolRequest(payload, &req->id, &req->attempt, &req->chaos,
+                             &req->spec)) {
         ::_exit(2);
       }
       buf.erase(0, frame_bytes);
-      if (kind == kFrameKindRequest) {
-        req->has_spec = false;
-        req->chaos = support::ChaosAction::kNone;
-        req->spec.clear();
-        if (!decodePoolRequest(payload, &req->id, &req->attempt)) ::_exit(2);
-      } else if (kind == kFrameKindSpecRequest) {
-        req->has_spec = true;
-        if (!decodePoolSpecRequest(payload, &req->id, &req->attempt,
-                                   &req->chaos, &req->spec)) {
-          ::_exit(2);
-        }
-      } else {
-        ::_exit(2);
-      }
       return true;
     }
     char chunk[4096];
@@ -498,14 +413,13 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
 }
 
 /// Pooled worker body: loop `recv request -> produce -> reply` until the
-/// parent closes the request pipe. Every reply is a v2 frame tagged with
-/// the id it answers plus the worker's self-reported per-cell rusage —
-/// spec-mode requests are answered with the same reply kinds, so the
-/// parent-side reply handling is identical across modes.
+/// parent closes the request pipe. Every reply is tagged with the id it
+/// answers plus the worker's self-reported per-cell rusage. _exit (not
+/// exit) so the forked copy of the parent's atexit handlers, static
+/// destructors, and stdio buffers never run twice.
 [[noreturn]] void runPoolWorker(int request_fd, int reply_fd,
                                 const SupervisorOptions& options,
-                                const Supervisor::Producer& produce,
-                                const WorkerPool::SpecProducer& produce_spec) {
+                                const WorkerPool::Producer& produce) {
   if (options.rlimit_as_bytes != 0) {
     rlimit rl{};
     rl.rlim_cur = static_cast<rlim_t>(options.rlimit_as_bytes);
@@ -517,66 +431,38 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   PoolWorkerRequest req;
   while (readPoolRequest(request_fd, in, &req)) {
     armPooledCpuLimit(options.rlimit_cpu_seconds);
-
-    // Index-mode chaos is resolved here from the plan (the worker knows
-    // the cell index); spec-mode chaos arrives pre-resolved in the frame.
-    const support::ChaosAction chaos =
-        req.has_spec
-            ? req.chaos
-            : options.chaos.actionFor(static_cast<std::size_t>(req.id),
-                                      req.attempt);
-    if (chaos != support::ChaosAction::kNone) {
-      performChaos(chaos, reply_fd, static_cast<std::size_t>(req.id),
-                   encodeSupervisorFrame(
-                       kFrameKindPooledReply,
-                       encodePoolReply({req.id, 0.0, 0.0, 0},
-                                       "chaos-partial-payload"),
-                       kSupervisorFrameV2));
+    if (req.chaos != support::ChaosAction::kNone) {
+      performChaos(req.chaos, reply_fd, req.id);
     }
 
     rusage before{};
     ::getrusage(RUSAGE_SELF, &before);
-    std::uint8_t kind = kFrameKindPooledReply;
+    std::uint8_t kind = kFrameKindReply;
     std::string inner;
     try {
-      if (req.has_spec) {
-        if (!produce_spec) ::_exit(2);  // spec job sent to an index-only pool
-        inner = produce_spec(req.spec);
-      } else {
-        inner = produce(static_cast<std::size_t>(req.id));
-      }
+      inner = produce(req.spec);
     } catch (const std::exception& e) {
-      kind = kFrameKindPooledError;
+      kind = kFrameKindError;
       inner = e.what();
     } catch (...) {
-      kind = kFrameKindPooledError;
+      kind = kFrameKindError;
       inner = "unknown worker exception";
     }
     rusage after{};
     ::getrusage(RUSAGE_SELF, &after);
     PoolReplyHeader header;
-    header.cell = req.id;
+    header.id = req.id;
     header.user_seconds =
         timevalSeconds(after.ru_utime) - timevalSeconds(before.ru_utime);
     header.sys_seconds =
         timevalSeconds(after.ru_stime) - timevalSeconds(before.ru_stime);
     header.max_rss_kb = maxRssKb(after);
-    const std::string frame = encodeSupervisorFrame(
-        kind, encodePoolReply(header, inner), kSupervisorFrameV2);
+    const std::string frame =
+        encodeSupervisorFrame(kind, encodePoolReply(header, inner));
     if (!writeAll(reply_fd, frame.data(), frame.size())) ::_exit(1);
   }
   ::_exit(0);
 }
-
-struct RunningWorker {
-  std::size_t cell = 0;
-  std::uint32_t attempt = 1;
-  pid_t pid = -1;
-  int fd = -1;
-  bool has_deadline = false;
-  Clock::time_point deadline;
-  std::string buf;
-};
 
 struct PendingCell {
   std::size_t cell = 0;
@@ -589,10 +475,10 @@ struct PendingCell {
 /// surfaces as a failed request write at the next dispatch).
 struct PoolWorker {
   pid_t pid = -1;
-  int request_fd = -1;  // parent writes SPTW v2/v3 request frames here
+  int request_fd = -1;  // parent writes request frames here
   int reply_fd = -1;    // parent reads the worker's reply stream here
   bool busy = false;
-  std::uint64_t id = 0;  // cell index (index mode) or opaque token (spec)
+  std::uint64_t id = 0;  // the in-flight job's token
   std::uint32_t attempt = 1;
   bool has_deadline = false;
   Clock::time_point deadline;
@@ -622,303 +508,21 @@ constexpr const char* kInterruptedDiagnostic =
     "interrupted by signal before dispatch; finished cells are "
     "checkpointed, re-run with --resume";
 
-/// Scoped SIG_IGN for SIGPIPE: the pooled parent writes request frames to
-/// pipes whose worker may just have died; the write must fail with EPIPE,
-/// not kill the sweep. Restores the previous disposition on scope exit.
-class ScopedIgnoreSigpipe {
- public:
-  ScopedIgnoreSigpipe() {
-    struct sigaction ignore {};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &saved_);
-  }
-  ~ScopedIgnoreSigpipe() { ::sigaction(SIGPIPE, &saved_, nullptr); }
-  ScopedIgnoreSigpipe(const ScopedIgnoreSigpipe&) = delete;
-  ScopedIgnoreSigpipe& operator=(const ScopedIgnoreSigpipe&) = delete;
-
- private:
-  struct sigaction saved_ {};
-};
-
 }  // namespace
 
 bool Supervisor::isolationSupported() { return true; }
 
-std::vector<Supervisor::Outcome> Supervisor::run(
-    std::size_t n, const Producer& produce, const OnSettled& on_settled,
-    PoolStats* stats) const {
-  if (stats != nullptr) *stats = PoolStats{};
-  return options_.pool ? runPooled(n, produce, on_settled, stats)
-                       : runForked(n, produce, on_settled, stats);
-}
-
-std::vector<Supervisor::Outcome> Supervisor::runForked(
-    std::size_t n, const Producer& produce, const OnSettled& on_settled,
-    PoolStats* stats) const {
-  std::vector<Outcome> out(n);
-  std::deque<PendingCell> pending;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
-  std::vector<RunningWorker> running;
-  std::size_t settled = 0;
-  bool interrupted = false;
-  const auto stopRequested = [&] {
-    return options_.stop != nullptr && *options_.stop != 0;
-  };
-
-  const auto settle = [&](std::size_t cell, Outcome outcome) {
-    out[cell] = std::move(outcome);
-    ++settled;
-    if (on_settled) on_settled(cell, out[cell]);
-  };
-
-  // Reaps one worker (blocking wait4; the fd already saw EOF or the
-  // worker was just SIGKILLed) and either settles or schedules a retry.
-  const auto reap = [&](RunningWorker& w, bool timed_out) {
-    rusage ru{};
-    const int wait_status = reapWorker(w.pid, &ru);
-    ::close(w.fd);
-
-    Outcome oc;
-    oc.worker.attempts = w.attempt;
-    oc.worker.timed_out = timed_out;
-    oc.worker.host_user_seconds = timevalSeconds(ru.ru_utime);
-    oc.worker.host_sys_seconds = timevalSeconds(ru.ru_stime);
-    oc.worker.host_max_rss_kb = maxRssKb(ru);
-
-    const int sig = signalOf(wait_status);
-    if (timed_out) {
-      oc.status = CellStatus::kTimeout;
-      oc.worker.term_signal = sig;
-      std::ostringstream os;
-      os << "worker exceeded the " << options_.cell_timeout_seconds
-         << "s wall-clock deadline on attempt " << w.attempt
-         << "; killed (SIGKILL)";
-      oc.diagnostic = os.str();
-    } else if (sig != 0) {
-      oc.worker.term_signal = sig;
-      if (sig == SIGXCPU) {
-        oc.status = CellStatus::kTimeout;
-        oc.diagnostic = "worker hit RLIMIT_CPU (" +
-                        std::to_string(options_.rlimit_cpu_seconds) +
-                        "s) and died on SIGXCPU";
-      } else {
-        oc.status = CellStatus::kCrashed;
-        const char* name = ::strsignal(sig);
-        oc.diagnostic = "worker killed by signal " + std::to_string(sig) +
-                        (name != nullptr ? std::string(" (") + name + ")"
-                                         : std::string()) +
-                        " after " + std::to_string(w.buf.size()) +
-                        " reply bytes";
-      }
-      if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
-    } else {
-      oc.worker.exit_code = WEXITSTATUS(wait_status);
-      std::uint8_t kind = 0;
-      std::string payload;
-      std::string why;
-      if (decodeSupervisorFrame(w.buf, &kind, &payload, &why)) {
-        if (kind == kFrameKindPayload) {
-          oc.status = CellStatus::kOk;
-          oc.payload = std::move(payload);
-        } else {
-          oc.status = CellStatus::kInternalError;
-          oc.diagnostic = "worker error: " + payload;
-        }
-      } else {
-        oc.status = CellStatus::kProtocolError;
-        oc.diagnostic = "worker reply failed frame validation: " + why +
-                        " (exit code " +
-                        std::to_string(oc.worker.exit_code) + ")";
-        oc.worker.partial_reply = hexDump(w.buf, 64);
-      }
-    }
-
-    if (!interrupted && isTransportFailure(oc.status) &&
-        w.attempt <= options_.retries) {
-      const double delay = backoffSeconds(w.cell, w.attempt + 1);
-      pending.push_back(
-          {w.cell, w.attempt + 1, deadlineFrom(Clock::now(), delay)});
-    } else {
-      settle(w.cell, std::move(oc));
-    }
-  };
-
-  const auto spawn = [&](const PendingCell& p) {
-    int fds[2];
-    if (::pipe(fds) < 0) {
-      Outcome oc;
-      oc.status = CellStatus::kCrashed;
-      oc.worker.attempts = p.attempt;
-      oc.diagnostic = std::string("pipe() failed: ") + std::strerror(errno);
-      settle(p.cell, std::move(oc));
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      Outcome oc;
-      oc.status = CellStatus::kCrashed;
-      oc.worker.attempts = p.attempt;
-      oc.diagnostic = std::string("fork() failed: ") + std::strerror(errno);
-      settle(p.cell, std::move(oc));
-      return;
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      // Drop inherited read ends of sibling pipes.
-      for (const RunningWorker& other : running) ::close(other.fd);
-      runWorker(fds[1], p.cell, p.attempt, options_, produce);
-    }
-    if (stats != nullptr) ++stats->workers_spawned;
-    ::close(fds[1]);
-    const int flags = ::fcntl(fds[0], F_GETFL, 0);
-    ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-    RunningWorker w;
-    w.cell = p.cell;
-    w.attempt = p.attempt;
-    w.pid = pid;
-    w.fd = fds[0];
-    if (options_.cell_timeout_seconds > 0.0) {
-      w.has_deadline = true;
-      w.deadline = deadlineFrom(Clock::now(), options_.cell_timeout_seconds);
-    }
-    running.push_back(std::move(w));
-  };
-
-  while (settled < n) {
-    if (!interrupted && stopRequested()) {
-      // Graceful interrupt: cancel every undispatched cell (settled as
-      // kInternalError, re-run on --resume) and let the in-flight workers
-      // drain normally so their checkpoint lines are complete.
-      interrupted = true;
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
-        Outcome oc;
-        oc.status = CellStatus::kInternalError;
-        oc.diagnostic = kInterruptedDiagnostic;
-        settle(p.cell, std::move(oc));
-      }
-    }
-    Clock::time_point now = Clock::now();
-
-    // Launch every due pending cell into a free worker slot.
-    for (std::size_t i = 0;
-         i < pending.size() && running.size() < options_.jobs;) {
-      if (pending[i].not_before <= now) {
-        const PendingCell p = pending[i];
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-        spawn(p);
-      } else {
-        ++i;
-      }
-    }
-
-    if (running.empty()) {
-      if (pending.empty()) break;  // everything settled via spawn failures
-      // Only backoff waits remain; sleep to the earliest one.
-      Clock::time_point wake = pending.front().not_before;
-      for (const PendingCell& p : pending) wake = std::min(wake, p.not_before);
-      std::this_thread::sleep_until(wake);
-      continue;
-    }
-
-    // Poll timeout: the nearest watchdog deadline or pending spawn time.
-    long long timeout_ms = -1;
-    const auto consider = [&](Clock::time_point t) {
-      const long long ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-              .count();
-      const long long clamped = ms < 0 ? 0 : ms + 1;
-      if (timeout_ms < 0 || clamped < timeout_ms) timeout_ms = clamped;
-    };
-    for (const RunningWorker& w : running) {
-      if (w.has_deadline) consider(w.deadline);
-    }
-    for (const PendingCell& p : pending) consider(p.not_before);
-
-    std::vector<pollfd> fds(running.size());
-    for (std::size_t i = 0; i < running.size(); ++i) {
-      fds[i] = pollfd{running[i].fd, POLLIN, 0};
-    }
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               timeout_ms < 0 ? -1 : static_cast<int>(
-                                         std::min<long long>(timeout_ms,
-                                                             60'000)));
-    if (rc < 0 && errno != EINTR) {
-      // A broken poll loop cannot supervise; fail loudly rather than spin.
-      throw support::SptInternalError(
-          std::string("supervisor poll() failed: ") + std::strerror(errno));
-    }
-
-    // Drain readable pipes; EOF means the worker finished its reply.
-    for (std::size_t i = 0; i < running.size();) {
-      RunningWorker& w = running[i];
-      const short revents = fds[i].revents;
-      bool done = false;
-      if (revents & (POLLIN | POLLHUP | POLLERR)) {
-        char chunk[65536];
-        for (;;) {
-          const ssize_t r = ::read(w.fd, chunk, sizeof chunk);
-          if (r > 0) {
-            w.buf.append(chunk, static_cast<std::size_t>(r));
-            if (w.buf.size() > kMaxPayloadBytes + kFrameHeaderBytes + 8) {
-              ::kill(w.pid, SIGKILL);
-              done = true;  // oversized reply; reap as protocol error
-              break;
-            }
-            continue;
-          }
-          if (r == 0) {
-            done = true;
-            break;
-          }
-          if (errno == EINTR) continue;
-          break;  // EAGAIN: drained for now
-        }
-      }
-      if (done) {
-        RunningWorker finished = std::move(w);
-        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-        reap(finished, /*timed_out=*/false);
-      } else {
-        ++i;
-      }
-    }
-
-    // Watchdog: SIGKILL overdue workers and reap them as timeouts.
-    now = Clock::now();
-    for (std::size_t i = 0; i < running.size();) {
-      if (running[i].has_deadline && running[i].deadline <= now) {
-        RunningWorker overdue = std::move(running[i]);
-        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-        ::kill(overdue.pid, SIGKILL);
-        reap(overdue, /*timed_out=*/true);
-      } else {
-        ++i;
-      }
-    }
-  }
-  return out;
-}
-
 // ---- WorkerPool: parent-side pool management -----------------------------
 //
-// The containment machinery the original batch-only runPooled loop owned
-// — spawn/respawn, dispatch writes, reply-stream framing, death
-// classification, watchdog — now lives here so the sweep service can
-// drive the same pool from its own event loop. runPooled (below) is a
-// thin retry/aggregation layer on top, which keeps the two paths
-// byte-identical by construction.
+// The containment machinery — spawn/respawn, dispatch writes, reply-stream
+// framing, death classification, watchdog — lives here so the sweep
+// service can drive the same pool from its own event loop.
+// Supervisor::run (below) is a thin retry/aggregation layer on top, which
+// keeps the two paths byte-identical by construction.
 
 struct WorkerPool::Impl {
   SupervisorOptions options;
-  Supervisor::Producer produce;
-  WorkerPool::SpecProducer produce_spec;
+  WorkerPool::Producer produce;
   std::function<bool()> respawn_policy;
   std::function<void()> child_setup;
   std::vector<PoolWorker> workers;
@@ -970,7 +574,7 @@ struct WorkerPool::Impl {
       // connections) are closed here, so a worker never holds a client's
       // connection open past the parent's close().
       if (child_setup) child_setup();
-      runPoolWorker(request[0], reply[1], options, produce, produce_spec);
+      runPoolWorker(request[0], reply[1], options, produce);
     }
     ::close(request[0]);
     ::close(reply[1]);
@@ -1090,18 +694,16 @@ struct WorkerPool::Impl {
 
       PoolReplyHeader header;
       std::string inner;
-      const bool cell_tagged =
-          (kind == kFrameKindPooledReply || kind == kFrameKindPooledError) &&
-          decodePoolReply(payload, &header, &inner);
-      if (!w.busy || !cell_tagged || header.cell != w.id) {
+      const bool tagged = kind != kFrameKindRequest &&
+                          decodePoolReply(payload, &header, &inner);
+      if (!w.busy || !tagged || header.id != w.id) {
         ::kill(w.pid, SIGKILL);
         workerDied(wi, /*timed_out=*/false,
-                   !w.busy ? "unsolicited reply from an idle worker"
-                   : !cell_tagged
-                       ? "reply frame is not a cell-tagged pooled reply"
-                       : "reply answers cell " + std::to_string(header.cell) +
-                             " but cell " + std::to_string(w.id) +
-                             " was dispatched",
+                   !w.busy   ? "unsolicited reply from an idle worker"
+                   : !tagged ? "reply frame is not a tagged reply"
+                             : "reply answers job " + std::to_string(header.id) +
+                                   " but job " + std::to_string(w.id) +
+                                   " was dispatched",
                    out);
         return false;
       }
@@ -1112,7 +714,7 @@ struct WorkerPool::Impl {
       oc.worker.host_user_seconds = header.user_seconds;
       oc.worker.host_sys_seconds = header.sys_seconds;
       oc.worker.host_max_rss_kb = header.max_rss_kb;
-      if (kind == kFrameKindPooledReply) {
+      if (kind == kFrameKindReply) {
         oc.status = CellStatus::kOk;
         oc.payload = std::move(inner);
       } else {
@@ -1128,12 +730,10 @@ struct WorkerPool::Impl {
   }
 };
 
-WorkerPool::WorkerPool(SupervisorOptions options, Supervisor::Producer produce,
-                       SpecProducer produce_spec)
+WorkerPool::WorkerPool(SupervisorOptions options, Producer produce)
     : impl_(std::make_unique<Impl>()) {
   impl_->options = std::move(options);
   impl_->produce = std::move(produce);
-  impl_->produce_spec = std::move(produce_spec);
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -1184,16 +784,9 @@ bool WorkerPool::dispatch(const Job& job) {
     }
     if (wi == impl_->workers.size()) return false;  // no idle worker
     PoolWorker& w = impl_->workers[wi];
-    const std::string frame =
-        job.has_spec
-            ? encodeSupervisorFrame(
-                  kFrameKindSpecRequest,
-                  encodePoolSpecRequest(job.id, job.attempt, job.chaos,
-                                        job.spec),
-                  kSupervisorFrameV3)
-            : encodeSupervisorFrame(kFrameKindRequest,
-                                    encodePoolRequest(job.id, job.attempt),
-                                    kSupervisorFrameV2);
+    const std::string frame = encodeSupervisorFrame(
+        kFrameKindRequest,
+        encodePoolRequest(job.id, job.attempt, job.chaos, job.spec));
     if (!writeAll(w.request_fd, frame.data(), frame.size())) {
       // Dead request pipe: the worker never saw the job (no attempt
       // burned). Replace it and try the next idle worker — possibly the
@@ -1319,12 +912,14 @@ void WorkerPool::shutdown() {
   impl_->workers.clear();
 }
 
-std::vector<Supervisor::Outcome> Supervisor::runPooled(
+std::vector<Supervisor::Outcome> Supervisor::run(
     std::size_t n, const Producer& produce, const OnSettled& on_settled,
     PoolStats* stats) const {
+  if (stats != nullptr) *stats = PoolStats{};
+  std::vector<Outcome> out(n);
+  if (n == 0) return out;  // e.g. a fully resumed sweep: fork nothing
   ScopedIgnoreSigpipe sigpipe_guard;
 
-  std::vector<Outcome> out(n);
   std::deque<PendingCell> pending;
   const Clock::time_point start = Clock::now();
   for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
@@ -1340,13 +935,11 @@ std::vector<Supervisor::Outcome> Supervisor::runPooled(
     if (on_settled) on_settled(cell, out[cell]);
   };
 
-  // Settles the attempt's outcome or queues the retry — the same policy
-  // as the fork-per-cell path.
+  // Settles the attempt's outcome or queues the retry.
   const auto finishAttempt = [&](std::size_t cell, std::uint32_t attempt,
                                  Outcome oc) {
-    if (!interrupted && isTransportFailure(oc.status) &&
-        attempt <= options_.retries) {
-      const double delay = backoffSeconds(cell, attempt + 1);
+    if (shouldRetry(options_, oc.status, attempt, interrupted)) {
+      const double delay = backoffSeconds(options_, cell, attempt + 1);
       pending.push_back(
           {cell, attempt + 1, deadlineFrom(Clock::now(), delay)});
     } else {
@@ -1354,9 +947,13 @@ std::vector<Supervisor::Outcome> Supervisor::runPooled(
     }
   };
 
-  WorkerPool pool(options_, produce);
+  // Each job's spec is its cell index in decimal; the worker parses it
+  // back and runs the batch's producer.
+  WorkerPool pool(options_, [&produce](const std::string& spec) {
+    return produce(static_cast<std::size_t>(std::stoull(spec)));
+  });
   pool.setRespawnPolicy([&] { return settled < n && !interrupted; });
-  pool.ensure(std::min(options_.jobs, std::max<std::size_t>(n, 1)));
+  pool.ensure(std::min(options_.jobs, n));
 
   std::vector<WorkerPool::Settled> batch;
   while (settled < n) {
@@ -1389,6 +986,8 @@ std::vector<Supervisor::Outcome> Supervisor::runPooled(
       WorkerPool::Job job;
       job.id = static_cast<std::uint64_t>(p.cell);
       job.attempt = p.attempt;
+      job.chaos = options_.chaos.actionFor(p.cell, p.attempt);
+      job.spec = std::to_string(p.cell);
       if (!pool.dispatch(job)) {
         // No idle worker survived the write; the cell was never sent and
         // goes back to the front of the queue.
@@ -1482,8 +1081,7 @@ std::vector<Supervisor::Outcome> Supervisor::run(std::size_t,
 
 struct WorkerPool::Impl {};
 
-WorkerPool::WorkerPool(SupervisorOptions, Supervisor::Producer,
-                       SpecProducer) {
+WorkerPool::WorkerPool(SupervisorOptions, Producer) {
   throw support::SptInternalError(
       "the warm worker pool is not supported on this platform (no fork)");
 }

@@ -1,50 +1,40 @@
-// Process-isolated execution supervisor (fork-per-cell and warm-pool
-// worker layers).
+// Process-isolated execution supervisor: the warm worker pool.
 //
-// PR 3's hardened sweep quarantines cells that *throw*; this layer
-// contains cells that take the whole process down. Two worker models
-// share one frame protocol and one containment policy:
+// The hardened sweep (--quarantine) contains cells that *throw*; this layer
+// contains cells that take the whole process down. `jobs` workers are
+// forked once per run and live for the whole sweep. The parent sends
+// each cell to an idle worker as one request frame — versioned,
+// length-prefixed, FNV-1a-checksummed (the trace_io v2 approach) — and
+// each worker loops `recv request → produce → reply`, re-arming its
+// per-cell RLIMIT_CPU window before every cell.
 //
-//  * **fork-per-cell** (SPTW v1): each cell runs in a freshly forked
-//    worker; the worker serializes its result and writes it to a pipe as
-//    one versioned, length-prefixed, FNV-1a-checksummed frame (the
-//    trace_io v2 approach), then _exit()s.
-//  * **warm pool** (SPTW v2, `SupervisorOptions::pool`): `jobs` workers
-//    are forked once per run and live for the whole sweep. The parent
-//    dispatches cell indices to idle workers as request frames over the
-//    same checksummed pipes; each worker loops `recv request → produce →
-//    reply`, re-arming its per-cell RLIMIT_CPU window before every cell.
-//    This removes the fork + pipeline re-setup cost per cell — the
-//    dominant overhead on small cells (bench_supervisor_overhead) — and
-//    is the substrate for an `sptc serve` daemon.
+// The parent is a single-threaded poll() event loop — fork() never races
+// other threads — that:
 //
-// In both models the parent is a single-threaded poll() event loop —
-// fork() never races other threads — that:
-//
-//  * keeps up to `jobs` workers in flight, placing results by submission
+//  * keeps up to `jobs` workers busy, placing results by submission
 //    index so ordering guarantees match ParallelSweep;
 //  * runs a watchdog enforcing a per-cell **wall-clock** deadline
 //    (complementary to the simulated record/cycle budgets, which cannot
 //    catch a hang in the host code itself) and SIGKILLs overdue workers;
 //  * optionally applies RLIMIT_AS / RLIMIT_CPU to workers, so a runaway
 //    allocation or CPU spin is bounded by the kernel even if the watchdog
-//    is off (pooled workers re-arm RLIMIT_CPU per cell, since the limit
-//    is cumulative over the process);
+//    is off (workers re-arm RLIMIT_CPU per cell, since the limit is
+//    cumulative over the process);
 //  * reaps every dead worker with wait4(), recording exit code,
 //    terminating signal, and rusage; a worker that segfaults, aborts,
 //    OOMs, hangs, or replies with bytes that fail frame validation lands
 //    in CellStatus::kCrashed / kTimeout / kProtocolError with diagnostics
 //    (including a hex dump of a corrupt reply's first bytes) while every
-//    other cell keeps running — under the pool, only the dead worker is
-//    respawned and the rest of the pool keeps draining the queue;
+//    other cell keeps running — only the dead worker is respawned and the
+//    rest of the pool keeps draining the queue;
 //  * retries transport failures (crash/timeout/protocol) up to `retries`
 //    extra attempts with exponential backoff and deterministic seeded
 //    jitter — a pure function of (backoff_seed, cell, attempt), so test
 //    and CI runs are reproducible;
 //  * honors support::ChaosPlan, the deterministic sabotage hook that makes
-//    designated (cell, attempt) pairs crash/hang/garble on demand —
-//    pooled workers consult the plan per dispatched request, so chaos
-//    semantics are identical across both worker models.
+//    designated (cell, attempt) pairs crash/hang/garble on demand — the
+//    parent resolves the plan per attempt and the request frame carries
+//    the action to the worker.
 //
 // On platforms without fork() the supervisor reports
 // isolationSupported() == false and callers degrade to the existing
@@ -62,18 +52,17 @@
 #include "harness/cell_status.h"
 #include "support/chaos.h"
 
+#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+#include <signal.h>
+#endif
+
 namespace spt::harness {
 
 struct SupervisorOptions {
-  /// Master switch consumed by runSweep / runFaultCampaign: false keeps
-  /// the historical in-process path.
+  /// Master switch consumed by runSweep / runFaultCampaign / runPerf:
+  /// true runs cells on the warm worker pool, false keeps the in-process
+  /// path.
   bool isolate = false;
-  /// Warm worker pool: fork `jobs` long-lived workers once and dispatch
-  /// cells to them over SPTW v2 request frames instead of forking one
-  /// worker per cell. Containment, retry, chaos, checkpoint, and JSON
-  /// output semantics are identical to fork-per-cell (CI diffs the
-  /// filtered documents byte-for-byte); only host_ timings differ.
-  bool pool = false;
   /// Wall-clock deadline per worker *attempt*, enforced by the parent
   /// watchdog (SIGKILL past it). 0 = no deadline.
   double cell_timeout_seconds = 0.0;
@@ -89,8 +78,8 @@ struct SupervisorOptions {
   std::uint64_t backoff_seed = 0xb0ff;
   /// Worker resource limits (0 = inherit). RLIMIT_AS bounds address space
   /// (an OOM becomes a contained bad_alloc or crash); RLIMIT_CPU bounds
-  /// CPU seconds per cell (SIGXCPU, reported as kTimeout) — pooled
-  /// workers re-arm it before each cell relative to CPU already spent.
+  /// CPU seconds per cell (SIGXCPU, reported as kTimeout) — workers re-arm
+  /// it before each cell relative to CPU already spent.
   std::uint64_t rlimit_as_bytes = 0;
   std::uint64_t rlimit_cpu_seconds = 0;
   /// Max workers in flight. 0 = support::ThreadPool::defaultWorkerCount().
@@ -106,6 +95,18 @@ struct SupervisorOptions {
   const volatile std::sig_atomic_t* stop = nullptr;
 };
 
+/// The deterministic backoff delay before retry `attempt` of `cell`
+/// (2-based: the delay preceding the second attempt is
+/// backoffSeconds(options, cell, 2); attempt 1 needs none).
+double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
+                      std::uint32_t attempt);
+
+/// The retry policy shared by Supervisor::run and the sweep service: a
+/// transport failure on `attempt` earns another attempt while retries
+/// remain, unless the caller is stopping (interrupt or drain).
+bool shouldRetry(const SupervisorOptions& options, CellStatus status,
+                 std::uint32_t attempt, bool stopping);
+
 class Supervisor {
  public:
   /// Transport-level outcome of one cell after retries resolved. kOk means
@@ -120,21 +121,19 @@ class Supervisor {
     std::string payload;
   };
 
-  /// Worker-process accounting for one run. Under fork-per-cell,
-  /// `workers_spawned` counts every fork (one per attempt);
-  /// `workers_respawned` stays zero. Under the pool, `workers_spawned`
-  /// counts the initial pool fill plus respawns and `workers_respawned`
-  /// counts replacements of dead workers — the pooled chaos tests assert
-  /// exactly one respawn per sabotaged worker.
+  /// Worker-process accounting for one run: `workers_spawned` counts the
+  /// initial pool fill plus respawns and `workers_respawned` counts
+  /// replacements of dead workers — the chaos tests assert exactly one
+  /// respawn per sabotaged worker.
   struct PoolStats {
     std::size_t workers_spawned = 0;
     std::size_t workers_respawned = 0;
   };
 
-  /// Runs in the *worker* (after fork): produces the cell's serialized
+  /// Runs in a *worker* (after fork): produces cell `i`'s serialized
   /// result. Exceptions escaping the producer are caught in the worker and
-  /// reported as a structured kInternalError outcome. Under the pool the
-  /// same worker process calls this for many cells in sequence.
+  /// reported as a structured kInternalError outcome. One worker process
+  /// calls this for many cells in sequence.
   using Producer = std::function<std::string(std::size_t)>;
 
   /// Runs in the *parent* as each cell settles (after retries), in
@@ -146,83 +145,61 @@ class Supervisor {
   /// True when this platform can fork worker processes.
   static bool isolationSupported();
 
-  /// Runs cells 0..n-1; outcomes land by cell index. Must only be called
-  /// when isolationSupported(). `stats`, when non-null, receives the
-  /// worker-process accounting for this run.
+  /// Runs cells 0..n-1 on a pool of min(jobs, n) workers; outcomes land by
+  /// cell index. Must only be called when isolationSupported(). `stats`,
+  /// when non-null, receives the worker-process accounting for this run.
   std::vector<Outcome> run(std::size_t n, const Producer& produce,
                            const OnSettled& on_settled = nullptr,
                            PoolStats* stats = nullptr) const;
 
   const SupervisorOptions& options() const { return options_; }
 
-  /// The deterministic backoff delay before retry `attempt` (2-based: the
-  /// delay preceding the second attempt is backoffSeconds(cell, 2)).
-  double backoffSeconds(std::size_t cell, std::uint32_t attempt) const;
-
  private:
   SupervisorOptions options_;
-
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-  std::vector<Outcome> runForked(std::size_t n, const Producer& produce,
-                                 const OnSettled& on_settled,
-                                 PoolStats* stats) const;
-  std::vector<Outcome> runPooled(std::size_t n, const Producer& produce,
-                                 const OnSettled& on_settled,
-                                 PoolStats* stats) const;
-#endif
 };
 
-/// Parent-side handle on the warm worker pool, factored out of the
-/// original batch-only runPooled loop so a long-lived event loop — the
-/// `sptc serve` sweep service — can drive dispatch itself. The pool owns
-/// worker processes, pipes, watchdog deadlines, death classification, and
-/// respawn; it deliberately does NOT own retry policy or result
-/// aggregation, which stay with the caller (Supervisor::runPooled is
-/// reimplemented on top, so the batch path and the service share one
-/// containment implementation and the byte-determinism tests cover both).
+/// Parent-side handle on the warm worker pool. Supervisor::run drives it
+/// for one batch; a long-lived event loop — the `sptc serve` sweep
+/// service — drives it itself. The pool owns worker processes, pipes,
+/// watchdog deadlines, death classification, and respawn; it deliberately
+/// does NOT own retry policy or result aggregation, which stay with the
+/// caller (both callers use shouldRetry and backoffSeconds, so the batch
+/// path and the service share one containment implementation and the
+/// byte-determinism tests cover both).
 ///
-/// Two dispatch modes share the worker body:
-///  * **index mode** (SPTW v2 request frames): `Job::id` is a cell index
-///    fed to the pool's index producer — the pre-existing batch
-///    discipline, where every worker can already see the whole grid.
-///  * **spec mode** (SPTW v3 spec-request frames, `Job::has_spec`): the
-///    work itself crosses the pipe as opaque spec bytes handed to the
-///    spec producer; `id` is an opaque token echoed back on the reply.
-///    This is what a service needs — its workers are forked before any
-///    client request exists, so cells cannot be indices into parent
-///    state. The chaos action is resolved by the *caller* per job and
-///    carried in the frame (the worker cannot consult a plan keyed by
-///    request-local cell indices it never sees).
+/// A job carries its work as opaque spec bytes handed to the worker's
+/// Producer; `id` is an opaque token echoed back on the reply. The chaos
+/// action is resolved by the caller per attempt and carried in the frame
+/// (a service worker never sees the request-local cell index a ChaosPlan
+/// is keyed by).
 ///
 /// Only meaningful where Supervisor::isolationSupported(); construction
-/// throws elsewhere. Callers should hold a ScopedIgnoreSigpipe (or ignore
-/// SIGPIPE themselves) around dispatch, as runPooled does.
+/// throws elsewhere. Callers should hold a ScopedIgnoreSigpipe around
+/// dispatch, as Supervisor::run does.
 class WorkerPool {
  public:
   struct Job {
     std::uint64_t id = 0;
     std::uint32_t attempt = 1;
-    bool has_spec = false;
-    std::string spec;
-    /// Spec mode only: sabotage the worker performs for this job.
+    /// Sabotage the worker performs for this job.
     support::ChaosAction chaos = support::ChaosAction::kNone;
+    std::string spec;
   };
 
   /// One finished attempt — a reply, a death, or a watchdog timeout —
-  /// with the same transport classification runPooled applies. Whether to
-  /// retry is the caller's decision.
+  /// with the transport classification applied. Whether to retry is the
+  /// caller's decision.
   struct Settled {
     std::uint64_t id = 0;
     std::uint32_t attempt = 1;
     Supervisor::Outcome outcome;
   };
 
-  /// Runs in a pooled worker on a v3 spec request: spec bytes in,
-  /// serialized result out.
-  using SpecProducer = std::function<std::string(const std::string&)>;
+  /// Runs in a pooled worker for each request: spec bytes in, serialized
+  /// result out.
+  using Producer = std::function<std::string(const std::string&)>;
 
-  WorkerPool(SupervisorOptions options, Supervisor::Producer produce,
-             SpecProducer produce_spec = nullptr);
+  WorkerPool(SupervisorOptions options, Producer produce);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -275,43 +252,58 @@ class WorkerPool {
   std::unique_ptr<Impl> impl_;
 };
 
+#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+/// Scoped SIG_IGN for SIGPIPE: the pool parent writes request frames to
+/// pipes whose worker may just have died, the service writes to clients
+/// that may vanish, and the submit client writes to a service that may
+/// have exited — each write must fail with EPIPE, not kill the process.
+/// Restores the previous disposition on scope exit.
+class ScopedIgnoreSigpipe {
+ public:
+  ScopedIgnoreSigpipe() {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ok_ = ::sigaction(SIGPIPE, &ignore, &saved_) == 0;
+  }
+  ~ScopedIgnoreSigpipe() {
+    if (ok_) ::sigaction(SIGPIPE, &saved_, nullptr);
+  }
+  ScopedIgnoreSigpipe(const ScopedIgnoreSigpipe&) = delete;
+  ScopedIgnoreSigpipe& operator=(const ScopedIgnoreSigpipe&) = delete;
+
+ private:
+  struct sigaction saved_ {};
+  bool ok_ = false;
+};
+#endif
+
 // ---- SPTW frame protocol (exposed for tests and the worker side) ----------
 //
 // A frame is:
 //   magic "SPTW" | u32 version | u8 kind | u64 length | bytes
 //   | u64 FNV-1a(kind, length, bytes)
 //
-// Version 1 (fork-per-cell, one frame per worker lifetime) carries only
-// reply kinds 0-1. Version 2 (warm pool) adds the request and cell-tagged
-// reply kinds. Version 3 (external dispatch / sweep service) adds the
-// spec-request kind, whose payload carries the work itself instead of a
-// cell index. The decoder accepts all versions and validates the kind
-// against the version, so one-shot v1 workers keep decoding unchanged and
-// a v1/v2 frame can never smuggle a spec request.
+// There is one version with three kinds: the parent's request and the
+// worker's reply or structured error. Frames only pass between a parent
+// and the workers it forked from the same binary, so the decoder accepts
+// exactly this version and rejects any other kind.
 
-inline constexpr std::uint32_t kSupervisorFrameV1 = 1;
-inline constexpr std::uint32_t kSupervisorFrameV2 = 2;
-inline constexpr std::uint32_t kSupervisorFrameV3 = 3;
+inline constexpr std::uint32_t kSupervisorFrameVersion = 4;
 
-inline constexpr std::uint8_t kFrameKindPayload = 0;      // worker reply (v1+)
-inline constexpr std::uint8_t kFrameKindWorkerError = 1;  // worker reply (v1+)
-inline constexpr std::uint8_t kFrameKindRequest = 2;      // parent->worker (v2)
-inline constexpr std::uint8_t kFrameKindPooledReply = 3;  // worker reply (v2)
-inline constexpr std::uint8_t kFrameKindPooledError = 4;  // worker reply (v2)
-inline constexpr std::uint8_t kFrameKindSpecRequest = 5;  // parent->worker (v3)
+inline constexpr std::uint8_t kFrameKindRequest = 0;  // parent -> worker
+inline constexpr std::uint8_t kFrameKindReply = 1;    // worker -> parent
+inline constexpr std::uint8_t kFrameKindError = 2;    // worker -> parent
 
-/// Encodes one frame. `kind` must be valid for `version` (v1 carries only
-/// kinds 0-1).
+/// Encodes one frame.
 std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload,
-                                  std::uint32_t version = kSupervisorFrameV1);
-/// Decodes a complete frame of either protocol version; returns false
-/// (with a reason) on a short, corrupt, version-mismatched, or
-/// kind-invalid-for-version reply.
+                                  const std::string& payload);
+/// Decodes a complete frame; returns false (with a reason) on a short,
+/// corrupt, wrong-version, or unknown-kind frame.
 bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
                            std::string* payload, std::string* error);
 
-/// Incremental framing over a pooled worker's byte stream.
+/// Incremental framing over a worker's byte stream.
 enum class FrameScan {
   kNeedMore,  // the buffer holds a valid but incomplete frame prefix
   kFrame,     // buffer[0..*frame_bytes) is one complete frame
@@ -325,19 +317,24 @@ enum class FrameScan {
 FrameScan scanSupervisorFrame(const std::string& buf,
                               std::size_t* frame_bytes, std::string* error);
 
-/// Request-frame payload: which cell a pooled worker should produce, and
-/// the (1-based) attempt number — the worker needs the attempt to consult
-/// the chaos plan exactly as a one-shot worker would.
-std::string encodePoolRequest(std::uint64_t cell, std::uint32_t attempt);
-bool decodePoolRequest(const std::string& payload, std::uint64_t* cell,
-                       std::uint32_t* attempt);
+/// Request payload: an opaque token echoed back in the reply's
+/// PoolReplyHeader.id, the (1-based) attempt, the chaos action the
+/// worker must perform (resolved by the dispatcher), and the spec bytes
+/// the worker's Producer consumes. decodePoolRequest rejects an
+/// out-of-range action byte.
+std::string encodePoolRequest(std::uint64_t id, std::uint32_t attempt,
+                              support::ChaosAction chaos,
+                              const std::string& spec);
+bool decodePoolRequest(const std::string& payload, std::uint64_t* id,
+                       std::uint32_t* attempt, support::ChaosAction* chaos,
+                       std::string* spec);
 
-/// Pooled-reply payload prefix: the cell being answered (echoed back so
-/// the parent can detect a desynchronized stream) plus the worker's
+/// Reply payload prefix: the token being answered (echoed back so the
+/// parent can detect a desynchronized stream) plus the worker's
 /// self-reported per-cell rusage (getrusage deltas; max RSS normalized to
-/// KB). The producer's bytes follow as `inner`.
+/// KB). The producer's bytes (or the error text) follow as `inner`.
 struct PoolReplyHeader {
-  std::uint64_t cell = 0;
+  std::uint64_t id = 0;
   double user_seconds = 0.0;
   double sys_seconds = 0.0;
   std::int64_t max_rss_kb = 0;
@@ -346,18 +343,5 @@ std::string encodePoolReply(const PoolReplyHeader& header,
                             const std::string& inner);
 bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
                      std::string* inner);
-
-/// Spec-request payload (SPTW v3, WorkerPool spec mode): an opaque token
-/// echoed back in the reply's PoolReplyHeader.cell, the (1-based) attempt,
-/// the chaos action the worker must perform (resolved by the dispatcher —
-/// a service worker never sees the request-local cell index a ChaosPlan is
-/// keyed by), and the spec bytes the worker's SpecProducer consumes.
-/// decodePoolSpecRequest rejects an out-of-range action byte.
-std::string encodePoolSpecRequest(std::uint64_t id, std::uint32_t attempt,
-                                  support::ChaosAction chaos,
-                                  const std::string& spec);
-bool decodePoolSpecRequest(const std::string& payload, std::uint64_t* id,
-                           std::uint32_t* attempt,
-                           support::ChaosAction* chaos, std::string* spec);
 
 }  // namespace spt::harness

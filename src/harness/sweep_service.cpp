@@ -448,30 +448,6 @@ std::string serviceSpecProduce(const std::string& spec) {
   throw std::runtime_error("service worker received an unknown request kind");
 }
 
-#if defined(SPT_SERVICE_POSIX)
-
-/// Scoped SIG_IGN for SIGPIPE, mirroring the supervisor's: both the
-/// service (writing to clients that may vanish) and the submit client
-/// (writing to a service that may have exited) need EPIPE, not death.
-class ScopedIgnoreSigpipe {
- public:
-  ScopedIgnoreSigpipe() {
-    struct sigaction ignore {};
-    ignore.sa_handler = SIG_IGN;
-    sigemptyset(&ignore.sa_mask);
-    ok_ = sigaction(SIGPIPE, &ignore, &saved_) == 0;
-  }
-  ~ScopedIgnoreSigpipe() {
-    if (ok_) sigaction(SIGPIPE, &saved_, nullptr);
-  }
-
- private:
-  struct sigaction saved_ {};
-  bool ok_ = false;
-};
-
-#endif  // SPT_SERVICE_POSIX
-
 }  // namespace
 
 // ---- The service ----------------------------------------------------------
@@ -551,7 +527,6 @@ struct SweepService::Impl {
   };
 
   std::unique_ptr<WorkerPool> pool;
-  std::unique_ptr<Supervisor> backoff;  // retry-delay policy only
   int listen_fd = -1;
   std::size_t jobs = 1;
   std::uint64_t next_client_id = 1;
@@ -1304,7 +1279,6 @@ struct SweepService::Impl {
     WorkerPool::Job job;
     job.id = next_job_id++;
     job.attempt = pc.attempt;
-    job.has_spec = true;
     job.spec = encodeWorkerSpec(c.request_bytes, pc.cell,
                                 options.trace_cache_dir);
     if (options.allow_chaos) {
@@ -1363,10 +1337,10 @@ struct SweepService::Impl {
       if (c.fd < 0 && !c.survivesDisconnect()) {
         continue;  // disconnected mid-flight: result dropped
       }
-      if (!draining && isTransportFailure(s.outcome.status) &&
-          s.attempt <= options.supervisor.retries) {
-        const double delay = backoff->backoffSeconds(
-            static_cast<std::size_t>(cell), s.attempt + 1);
+      if (shouldRetry(options.supervisor, s.outcome.status, s.attempt,
+                      draining)) {
+        const double delay = backoffSeconds(
+            options.supervisor, static_cast<std::size_t>(cell), s.attempt + 1);
         c.waiting.push_back(PendingCell{
             cell, s.attempt + 1,
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -1477,13 +1451,10 @@ struct SweepService::Impl {
     }
     SupervisorOptions sup = options.supervisor;
     sup.isolate = true;
-    sup.pool = true;
     sup.chaos = support::ChaosPlan{};  // chaos arrives per request
     jobs = sup.jobs == 0 ? support::ThreadPool::defaultWorkerCount()
                          : sup.jobs;
-    backoff = std::make_unique<Supervisor>(sup);
-    pool = std::make_unique<WorkerPool>(
-        sup, [](std::size_t) { return std::string(); }, serviceSpecProduce);
+    pool = std::make_unique<WorkerPool>(sup, serviceSpecProduce);
     pool->setChildSetup([this] {
       // Workers must never hold the service's sockets open: a forked
       // worker outliving the service would otherwise keep clients (and
@@ -1984,7 +1955,6 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
   // attempt: a service restart window is seconds, not minutes, and a
   // tokened retry that reconnects attaches instead of re-running, so
   // probing often is cheap.
-  const Supervisor backoff{SupervisorOptions{}};
   std::uint32_t attempt = 1;
   for (;;) {
     if (outcome.ok) return outcome;
@@ -1997,7 +1967,8 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
                                               : 0.25;
       why = "service busy";
     } else if (outcome.transport && !options.token.empty()) {
-      delay = std::min(2.0, backoff.backoffSeconds(0, attempt + 1));
+      delay = std::min(2.0,
+                       backoffSeconds(SupervisorOptions{}, 0, attempt + 1));
       why = "transport failure (" + outcome.error + ")";
     } else {
       // Structured service errors (bad request, chaos refusal, token

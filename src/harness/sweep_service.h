@@ -3,8 +3,7 @@
 //
 // A single SweepService process listens on a Unix-domain socket and
 // multiplexes a stream of sweep / campaign requests from many concurrent
-// clients over one warm worker pool (harness::WorkerPool in spec-dispatch
-// mode). The wire protocol, "SPTS" v1, reuses the SPTW frame discipline —
+// clients over one warm worker pool (harness::WorkerPool). The wire protocol, "SPTS" v1, reuses the SPTW frame discipline —
 // length-prefixed, versioned, FNV-1a-checksummed frames (support/wire.h)
 // — with a request/progress/result/done/error/status vocabulary:
 //
@@ -45,7 +44,7 @@
 //
 // Byte-determinism contract: a sweep/campaign submitted through the
 // service produces rows/cells field-for-field identical to
-// `sptc sweep --pool` / `sptc inject --pool` for the same grid (the
+// `sptc sweep --isolate` / `sptc inject --isolate` for the same grid (the
 // filtered JSON documents are byte-identical; only host_ fields and
 // worker diagnostics differ), because workers on both paths run the same
 // cell bodies (produceSweepCellPayload / runFaultCampaignCellStandalone)
@@ -143,8 +142,8 @@ bool decodeServiceRequestWithToken(const std::string& payload,
 
 struct SweepServiceOptions {
   std::string socket_path;
-  /// Worker-pool knobs: jobs, cell timeout, retries, rlimits. `isolate` /
-  /// `pool` are implied. The embedded chaos plan is ignored — chaos
+  /// Worker-pool knobs: jobs, cell timeout, retries, rlimits. `isolate`
+  /// is implied. The embedded chaos plan is ignored — chaos
   /// arrives per request.
   SupervisorOptions supervisor;
   /// Admission bound: maximum queued-but-undispatched cells across all
@@ -260,7 +259,7 @@ SubmitOutcome submitToService(const std::string& socket_path,
 /// submitToService wrapped in the `--retry-for` loop: retries kBusy
 /// refusals after the service's retry_after hint and — when
 /// `options.token` is non-empty — transport failures after a
-/// deterministic seeded backoff (Supervisor::backoffSeconds, capped at
+/// deterministic seeded backoff (harness::backoffSeconds, capped at
 /// 2 s per attempt), until the request succeeds, a structured service
 /// error arrives, or `options.retry_for_seconds` of wall clock elapse.
 SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,

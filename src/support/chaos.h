@@ -10,13 +10,12 @@
 // directive names a cell index and fires on a deterministic set of
 // attempts, never on a clock or a random draw.
 //
-// The plan targets **(cell, attempt)**, not worker processes: a one-shot
-// fork-per-cell worker consults it once at startup, and a warm-pool
-// worker consults it before each dispatched request using the attempt
-// number carried in the SPTW v2 request frame. Sabotage therefore follows
-// the cell wherever it runs, a pooled worker that executes a sabotaged
-// cell dies (and is respawned) exactly as a one-shot worker would, and
-// both worker models produce the same per-cell outcomes.
+// The plan targets **(cell, attempt)**, not worker processes: the
+// dispatching parent resolves it for each attempt it sends and the
+// request frame carries the action to whichever pooled worker takes the
+// cell. Sabotage therefore follows the cell wherever it runs, and a
+// worker that executes a sabotaged cell dies (and is respawned) without
+// disturbing the cells its siblings run.
 //
 // The plan is inert unless a directive matches, and chaos only ever runs
 // inside a forked worker — the in-process (--no-isolate) path refuses it.

@@ -101,8 +101,9 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
 
 // ---- Frame protocol -------------------------------------------------------
 
+// Both worker-side kinds: a reply and a structured error.
 TEST(SupervisorFrame, RoundTripsBothKinds) {
-  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1}}) {
+  for (const std::uint8_t kind : {kFrameKindReply, kFrameKindError}) {
     for (const std::string& payload : {std::string(), std::string("hello"),
                                        std::string(1000, '\x7f')}) {
       const std::string frame = encodeSupervisorFrame(kind, payload);
@@ -119,7 +120,8 @@ TEST(SupervisorFrame, RoundTripsBothKinds) {
 }
 
 TEST(SupervisorFrame, DetectsCorruption) {
-  const std::string frame = encodeSupervisorFrame(0, "checksummed-payload");
+  const std::string frame =
+      encodeSupervisorFrame(kFrameKindReply, "checksummed-payload");
   std::string error;
 
   // Empty and short replies.
@@ -154,103 +156,74 @@ TEST(SupervisorFrame, DetectsCorruption) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-TEST(SupervisorFrame, V2RoundTripsPoolKinds) {
-  for (const std::uint8_t kind :
-       {kFrameKindPayload, kFrameKindWorkerError, kFrameKindRequest,
-        kFrameKindPooledReply, kFrameKindPooledError}) {
-    const std::string frame =
-        encodeSupervisorFrame(kind, "pool-payload", kSupervisorFrameV2);
-    std::uint8_t got_kind = 0xff;
-    std::string got_payload;
-    std::string error;
-    ASSERT_TRUE(decodeSupervisorFrame(frame, &got_kind, &got_payload, &error))
-        << "kind " << unsigned{kind} << ": " << error;
-    EXPECT_EQ(got_kind, kind);
-    EXPECT_EQ(got_payload, "pool-payload");
-  }
-}
-
-// Version negotiation: the decoder accepts v1-v3 but validates the kind
-// against the version — a one-shot v1 worker can never smuggle a pool
-// frame, a v2 frame can never smuggle a spec request, and a version bump
-// beyond v3 is rejected outright.
+// There is one frame version: it carries exactly the request, reply and
+// error kinds, and a frame tagged with any other version or kind is
+// rejected.
 TEST(SupervisorFrame, ValidatesKindAgainstVersion) {
   std::string error;
-  // Pool kinds are invalid in a v1 frame.
   for (const std::uint8_t kind :
-       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
-    const std::string frame =
-        encodeSupervisorFrame(kind, "x", kSupervisorFrameV1);
-    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-    EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
+       {kFrameKindRequest, kFrameKindReply, kFrameKindError}) {
+    EXPECT_TRUE(decodeSupervisorFrame(encodeSupervisorFrame(kind, "x"),
+                                      nullptr, nullptr, &error))
         << error;
   }
-  // The spec-request kind is invalid below v3.
-  for (const std::uint32_t version : {kSupervisorFrameV1, kSupervisorFrameV2}) {
-    std::string frame =
-        encodeSupervisorFrame(kFrameKindSpecRequest, "x", kSupervisorFrameV3);
+  for (const std::uint8_t kind : {std::uint8_t{3}, std::uint8_t{5},
+                                  std::uint8_t{0xff}}) {
+    const std::string frame = encodeSupervisorFrame(kind, "x");
+    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
+    EXPECT_NE(error.find("not a request, reply, or error"), std::string::npos)
+        << error;
+  }
+  // Every other version — earlier ones included — is refused by both the
+  // decoder and the stream scanner.
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u}) {
+    std::string frame = encodeSupervisorFrame(kFrameKindReply, "x");
     std::memcpy(frame.data() + 4, &version, sizeof version);
     EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-    EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
-        << error;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    EXPECT_EQ(scanSupervisorFrame(frame, nullptr, &error),
+              FrameScan::kCorrupt);
   }
-  // The v1 reply kinds stay decodable in every version.
-  for (const std::uint32_t version :
-       {kSupervisorFrameV1, kSupervisorFrameV2, kSupervisorFrameV3}) {
-    const std::string frame =
-        encodeSupervisorFrame(kFrameKindPayload, "x", version);
-    EXPECT_TRUE(decodeSupervisorFrame(frame, nullptr, nullptr, &error))
-        << error;
-  }
-  // Version 4 does not exist yet.
-  std::string future =
-      encodeSupervisorFrame(kFrameKindPayload, "x", kSupervisorFrameV2);
-  future[4] = 4;
-  EXPECT_FALSE(decodeSupervisorFrame(future, nullptr, nullptr, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-// v3 spec requests round-trip: token, attempt, chaos action, and opaque
-// spec bytes — and an out-of-range action byte is rejected.
+// Requests round-trip: token, attempt, chaos action, and opaque spec
+// bytes — and an out-of-range action byte is rejected.
 TEST(SupervisorFrame, SpecRequestRoundTrips) {
   const std::string spec("machine\0config\x7f bytes", 21);
-  const std::string payload = encodePoolSpecRequest(
+  const std::string payload = encodePoolRequest(
       0xfeedface12345678ull, 3, support::ChaosAction::kGarbage, spec);
   std::uint64_t id = 0;
   std::uint32_t attempt = 0;
   support::ChaosAction chaos = support::ChaosAction::kNone;
   std::string got_spec;
-  ASSERT_TRUE(decodePoolSpecRequest(payload, &id, &attempt, &chaos, &got_spec));
+  ASSERT_TRUE(decodePoolRequest(payload, &id, &attempt, &chaos, &got_spec));
   EXPECT_EQ(id, 0xfeedface12345678ull);
   EXPECT_EQ(attempt, 3u);
   EXPECT_EQ(chaos, support::ChaosAction::kGarbage);
   EXPECT_EQ(got_spec, spec);
 
-  // Survives the frame layer under the v3 version tag.
-  const std::string frame =
-      encodeSupervisorFrame(kFrameKindSpecRequest, payload, kSupervisorFrameV3);
+  // Survives the frame layer.
+  const std::string frame = encodeSupervisorFrame(kFrameKindRequest, payload);
   std::uint8_t kind = 0;
   std::string decoded;
   std::string error;
   ASSERT_TRUE(decodeSupervisorFrame(frame, &kind, &decoded, &error)) << error;
-  EXPECT_EQ(kind, kFrameKindSpecRequest);
+  EXPECT_EQ(kind, kFrameKindRequest);
   EXPECT_EQ(decoded, payload);
 
   // A corrupt action byte fails the decode instead of casting blind.
   std::string bad = payload;
   bad[12] = 0x7f;
-  EXPECT_FALSE(decodePoolSpecRequest(bad, &id, &attempt, &chaos, &got_spec));
+  EXPECT_FALSE(decodePoolRequest(bad, &id, &attempt, &chaos, &got_spec));
 
   // Truncated prefix fails.
-  EXPECT_FALSE(decodePoolSpecRequest(payload.substr(0, 12), &id, &attempt,
-                                     &chaos, &got_spec));
+  EXPECT_FALSE(decodePoolRequest(payload.substr(0, 12), &id, &attempt,
+                                 &chaos, &got_spec));
 }
 
 TEST(SupervisorFrame, StreamScannerFindsFramesIncrementally) {
-  const std::string a =
-      encodeSupervisorFrame(kFrameKindPooledReply, "first", kSupervisorFrameV2);
-  const std::string b = encodeSupervisorFrame(kFrameKindPooledError, "second",
-                                              kSupervisorFrameV2);
+  const std::string a = encodeSupervisorFrame(kFrameKindReply, "first");
+  const std::string b = encodeSupervisorFrame(kFrameKindError, "second");
 
   // Every strict prefix of a frame scans as need-more, never corrupt.
   for (std::size_t cut = 0; cut < a.size(); ++cut) {
@@ -284,18 +257,8 @@ TEST(SupervisorFrame, StreamScannerFindsFramesIncrementally) {
 }
 
 TEST(SupervisorFrame, PoolPayloadsRoundTrip) {
-  std::uint64_t cell = 0;
-  std::uint32_t attempt = 0;
-  ASSERT_TRUE(decodePoolRequest(encodePoolRequest(123456789012ull, 7),
-                                &cell, &attempt));
-  EXPECT_EQ(cell, 123456789012ull);
-  EXPECT_EQ(attempt, 7u);
-  EXPECT_FALSE(decodePoolRequest("short", &cell, &attempt));
-  EXPECT_FALSE(decodePoolRequest(encodePoolRequest(1, 1) + "x", &cell,
-                                 &attempt));
-
   PoolReplyHeader header;
-  header.cell = 42;
+  header.id = 42;
   header.user_seconds = 1.25;
   header.sys_seconds = 0.5;
   header.max_rss_kb = 123456;
@@ -303,7 +266,7 @@ TEST(SupervisorFrame, PoolPayloadsRoundTrip) {
   std::string inner;
   ASSERT_TRUE(
       decodePoolReply(encodePoolReply(header, "inner-bytes"), &got, &inner));
-  EXPECT_EQ(got.cell, 42u);
+  EXPECT_EQ(got.id, 42u);
   EXPECT_EQ(got.user_seconds, 1.25);
   EXPECT_EQ(got.sys_seconds, 0.5);
   EXPECT_EQ(got.max_rss_kb, 123456);
@@ -408,6 +371,8 @@ TEST(CellCodec, RejectsCorruptPayloads) {
 
 // ---- Supervisor containment ----------------------------------------------
 
+// Every chaos action lands in its own containment status and diagnostic
+// while the pool keeps running the healthy cell.
 TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
@@ -450,10 +415,13 @@ TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
       << outcomes[3].diagnostic;
   EXPECT_FALSE(outcomes[3].worker.partial_reply.empty());
 
-  // Truncated frame prefix.
+  // Truncated frame: the diagnostic names the frame whose header promises
+  // more payload than arrived, and the partial bytes are dumped.
   EXPECT_EQ(outcomes[4].status, CellStatus::kProtocolError);
-  EXPECT_NE(outcomes[4].diagnostic.find("short reply"), std::string::npos)
+  EXPECT_NE(outcomes[4].diagnostic.find("frame length mismatch"),
+            std::string::npos)
       << outcomes[4].diagnostic;
+  EXPECT_FALSE(outcomes[4].worker.partial_reply.empty());
 
   // Exit without replying: protocol error carrying the exit code.
   EXPECT_EQ(outcomes[5].status, CellStatus::kProtocolError);
@@ -504,30 +472,35 @@ TEST(Supervisor, WorkerExceptionBecomesStructuredInternalError) {
     GTEST_SKIP() << "no fork on this platform";
   }
   const Supervisor sup(SupervisorOptions{});
-  const auto outcomes = sup.run(2, [](std::size_t cell) -> std::string {
+  const auto outcomes = sup.run(3, [](std::size_t cell) -> std::string {
     if (cell == 1) throw std::runtime_error("boom in worker 1");
+    if (cell == 2) throw 42;  // not a std::exception
     return "fine";
   });
-  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(outcomes[0].status, CellStatus::kOk);
   EXPECT_EQ(outcomes[1].status, CellStatus::kInternalError);
   EXPECT_NE(outcomes[1].diagnostic.find("boom in worker 1"),
             std::string::npos)
       << outcomes[1].diagnostic;
+  EXPECT_EQ(outcomes[2].status, CellStatus::kInternalError);
+  EXPECT_NE(outcomes[2].diagnostic.find("unknown worker exception"),
+            std::string::npos)
+      << outcomes[2].diagnostic;
   // A structured worker error is the cell's own failure, not a transport
   // failure: it must not be retried.
   EXPECT_EQ(outcomes[1].worker.attempts, 1u);
+  EXPECT_EQ(outcomes[2].worker.attempts, 1u);
 }
 
 TEST(Supervisor, BackoffIsDeterministicAndExponential) {
   SupervisorOptions opts;
   opts.backoff_base_seconds = 0.25;
-  const Supervisor a(opts);
-  const Supervisor b(opts);
+  const SupervisorOptions same = opts;
   for (std::size_t cell = 0; cell < 4; ++cell) {
     for (std::uint32_t attempt = 2; attempt <= 5; ++attempt) {
-      const double d = a.backoffSeconds(cell, attempt);
-      EXPECT_EQ(d, b.backoffSeconds(cell, attempt));
+      const double d = backoffSeconds(opts, cell, attempt);
+      EXPECT_EQ(d, backoffSeconds(same, cell, attempt));
       // base * 2^(attempt-2) * (1 + jitter), jitter in [0, 1).
       const double floor = 0.25 * static_cast<double>(1u << (attempt - 2));
       EXPECT_GE(d, floor) << "cell " << cell << " attempt " << attempt;
@@ -537,28 +510,28 @@ TEST(Supervisor, BackoffIsDeterministicAndExponential) {
   // A different seed produces different jitter somewhere.
   SupervisorOptions other = opts;
   other.backoff_seed = 0x1234;
-  const Supervisor c(other);
   bool any_diff = false;
   for (std::size_t cell = 0; cell < 4 && !any_diff; ++cell) {
-    any_diff = a.backoffSeconds(cell, 2) != c.backoffSeconds(cell, 2);
+    any_diff =
+        backoffSeconds(opts, cell, 2) != backoffSeconds(other, cell, 2);
   }
   EXPECT_TRUE(any_diff);
   // First attempt needs no backoff.
-  EXPECT_EQ(a.backoffSeconds(0, 1), 0.0);
+  EXPECT_EQ(backoffSeconds(opts, 0, 1), 0.0);
 }
 
 // Regression for the old `cell * 64 + attempt` jitter seed: (cell 0,
 // attempt 66) and (cell 1, attempt 2) packed to the same seed and shared
 // a jitter stream, and `1ull << (attempt - 2)` was UB from attempt 66 on.
 TEST(Supervisor, BackoffSeedDoesNotCollideAcrossCells) {
-  const Supervisor sup(SupervisorOptions{});
+  const SupervisorOptions opts;
   // The old packing's collision pairs must now differ (modulo the scaled
   // floor): compare the jitter fraction, which is seed-determined.
   const auto jitter = [&](std::size_t cell, std::uint32_t attempt) {
     const double floor =
         0.25 * static_cast<double>(1ull << std::min<std::uint32_t>(
                                        attempt - 2, 62));
-    return sup.backoffSeconds(cell, attempt) / floor - 1.0;
+    return backoffSeconds(opts, cell, attempt) / floor - 1.0;
   };
   EXPECT_NE(jitter(0, 66), jitter(1, 2));
   EXPECT_NE(jitter(0, 130), jitter(2, 2));
@@ -566,9 +539,9 @@ TEST(Supervisor, BackoffSeedDoesNotCollideAcrossCells) {
 
   // Huge attempt numbers are finite (clamped exponent), monotone-capped,
   // and UBSan-clean.
-  const double capped = sup.backoffSeconds(0, 64);
+  const double capped = backoffSeconds(opts, 0, 64);
   for (const std::uint32_t attempt : {66u, 80u, 1000u, ~0u}) {
-    const double d = sup.backoffSeconds(0, attempt);
+    const double d = backoffSeconds(opts, 0, attempt);
     EXPECT_TRUE(std::isfinite(d)) << attempt;
     EXPECT_GT(d, 0.0) << attempt;
     // Past the clamp, only the jitter varies: within 2x of the cap value.
@@ -592,7 +565,7 @@ TEST(Supervisor, SettleHookFiresOncePerCellWithRusage) {
   for (const int count : settled) EXPECT_EQ(count, 1);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].payload, std::to_string(i * i));
-    // wait4 rusage made it into the diagnostics.
+    // The worker's self-reported rusage made it into the diagnostics.
     EXPECT_GT(outcomes[i].worker.host_max_rss_kb, 0);
   }
 }
@@ -605,7 +578,6 @@ TEST(SupervisorPool, WorkersAreReusedAcrossCells) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 3;
   const Supervisor sup(opts);
 
@@ -634,7 +606,6 @@ TEST(SupervisorPool, PoolIsCappedAtCellCount) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 8;
   const Supervisor sup(opts);
   Supervisor::PoolStats stats;
@@ -643,6 +614,14 @@ TEST(SupervisorPool, PoolIsCappedAtCellCount) {
               &stats);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(stats.workers_spawned, 2u);  // no idle workers for a 2-cell run
+
+  // Nothing to run (a fully resumed sweep): no worker is forked at all.
+  const auto none =
+      sup.run(0, [](std::size_t c) { return std::to_string(c); }, nullptr,
+              &stats);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(stats.workers_spawned, 0u);
+  EXPECT_EQ(stats.workers_respawned, 0u);
 }
 
 // Regression: RLIMIT_CPU counts cumulative process CPU, so a pooled
@@ -657,7 +636,6 @@ TEST(SupervisorPool, CpuLimitReArmsAcrossCells) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 1;                // one long-lived worker accumulates CPU
   opts.rlimit_cpu_seconds = 1;  // per-cell budget, above one cell's burn
   const Supervisor sup(opts);
@@ -707,6 +685,67 @@ TEST(SupervisorPool, CpuLimitReArmsAcrossCells) {
   EXPECT_EQ(stats.workers_respawned, 0u);
 }
 
+// RLIMIT_AS caps each worker's address space: a cell that allocates past
+// the cap fails on its own — as a structured bad_alloc, or as a crash if
+// the allocation failure surfaces as a signal — while its neighbours,
+// including later cells on the same worker, complete. Sanitizer runtimes
+// reserve terabytes of shadow address space, which no cap near the real
+// footprint admits, so the test skips under ASan and TSan.
+TEST(SupervisorPool, AddressSpaceCapContainsARunawayAllocation) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads the virtual size from /proc/self/statm";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory does not fit under RLIMIT_AS";
+#else
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer shadow memory does not fit under RLIMIT_AS";
+#endif
+#endif
+  std::uint64_t vm_pages = 0;
+  {
+    std::ifstream statm("/proc/self/statm");
+    ASSERT_TRUE(statm >> vm_pages);
+  }
+  const std::uint64_t vm_bytes =
+      vm_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  constexpr std::uint64_t kMiB = 1024 * 1024;
+
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 2;
+  opts.cell_timeout_seconds = 60.0;
+  opts.rlimit_as_bytes = vm_bytes + 256 * kMiB;
+  const Supervisor sup(opts);
+  const auto outcomes = sup.run(6, [](std::size_t cell) -> std::string {
+    if (cell == 1) {
+      // A direct operator new call may not be elided, unlike a
+      // new-expression.
+      void* p = ::operator new(1024 * kMiB);
+      static_cast<volatile char*>(p)[0] = 1;
+      ::operator delete(p);
+      return "allocated past the cap";
+    }
+    return "cell-" + std::to_string(cell);
+  });
+
+  ASSERT_EQ(outcomes.size(), 6u);
+  const Supervisor::Outcome& oom = outcomes[1];
+  if (oom.status == CellStatus::kInternalError) {
+    EXPECT_NE(oom.diagnostic.find("bad_alloc"), std::string::npos)
+        << oom.diagnostic;
+  } else {
+    EXPECT_EQ(oom.status, CellStatus::kCrashed) << oom.diagnostic;
+  }
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (i == 1) continue;
+    EXPECT_EQ(outcomes[i].status, CellStatus::kOk)
+        << "cell " << i << ": " << outcomes[i].diagnostic;
+    EXPECT_EQ(outcomes[i].payload, "cell-" + std::to_string(i));
+  }
+#endif
+}
+
 // Each chaos action against a pooled worker must kill and respawn exactly
 // one worker while the rest of the pool keeps draining the queue.
 TEST(SupervisorPool, ChaosKillsAndRespawnsExactlyOneWorker) {
@@ -716,8 +755,7 @@ TEST(SupervisorPool, ChaosKillsAndRespawnsExactlyOneWorker) {
   for (const char* action : {"crash", "abort", "garbage", "partial", "exit"}) {
     SupervisorOptions opts;
     opts.isolate = true;
-    opts.pool = true;
-    opts.jobs = 2;
+      opts.jobs = 2;
     opts.chaos = *support::ChaosPlan::parse(std::string("1:") + action);
     const Supervisor sup(opts);
 
@@ -743,63 +781,14 @@ TEST(SupervisorPool, ChaosKillsAndRespawnsExactlyOneWorker) {
   }
 }
 
-// The full chaos matrix under the pool produces the same containment
-// statuses and diagnostics fields as fork-per-cell workers.
-TEST(SupervisorPool, ChaosMatrixMatchesForkedStatuses) {
-  if (!Supervisor::isolationSupported()) {
-    GTEST_SKIP() << "no fork on this platform";
-  }
-  SupervisorOptions opts;
-  opts.isolate = true;
-  opts.pool = true;
-  opts.jobs = 3;
-  opts.cell_timeout_seconds = 2.0;
-  opts.chaos =
-      *support::ChaosPlan::parse("1:crash,2:hang,3:garbage,4:partial,5:exit");
-  const Supervisor sup(opts);
-
-  const auto outcomes = sup.run(6, [](std::size_t cell) {
-    return "cell-" + std::to_string(cell);
-  });
-  ASSERT_EQ(outcomes.size(), 6u);
-
-  EXPECT_EQ(outcomes[0].status, CellStatus::kOk);
-  EXPECT_EQ(outcomes[0].payload, "cell-0");
-  EXPECT_EQ(outcomes[0].worker.attempts, 1u);
-  EXPECT_EQ(outcomes[0].worker.exit_code, 0);
-
-  EXPECT_EQ(outcomes[1].status, CellStatus::kCrashed);
-  EXPECT_EQ(outcomes[1].worker.term_signal, SIGSEGV);
-
-  EXPECT_EQ(outcomes[2].status, CellStatus::kTimeout);
-  EXPECT_TRUE(outcomes[2].worker.timed_out);
-  EXPECT_EQ(outcomes[2].worker.term_signal, SIGKILL);
-  EXPECT_NE(outcomes[2].diagnostic.find("wall-clock"), std::string::npos)
-      << outcomes[2].diagnostic;
-
-  EXPECT_EQ(outcomes[3].status, CellStatus::kProtocolError);
-  EXPECT_NE(outcomes[3].diagnostic.find("magic"), std::string::npos)
-      << outcomes[3].diagnostic;
-  EXPECT_FALSE(outcomes[3].worker.partial_reply.empty());
-
-  EXPECT_EQ(outcomes[4].status, CellStatus::kProtocolError);
-  EXPECT_FALSE(outcomes[4].worker.partial_reply.empty());
-
-  EXPECT_EQ(outcomes[5].status, CellStatus::kProtocolError);
-  EXPECT_EQ(outcomes[5].worker.exit_code, 3);
-  EXPECT_NE(outcomes[5].diagnostic.find("empty reply"), std::string::npos)
-      << outcomes[5].diagnostic;
-}
-
-// Chaos targets (cell, attempt) on pooled workers exactly as on one-shot
-// workers: a first-attempt-only crash retries onto a healthy worker.
+// Chaos targets (cell, attempt), not worker processes: a
+// first-attempt-only crash retries onto a healthy (respawned) worker.
 TEST(SupervisorPool, RetriesTransientFailureOnRespawnedWorker) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.retries = 2;
   opts.backoff_base_seconds = 0.01;
@@ -823,7 +812,6 @@ TEST(SupervisorPool, WorkerExceptionBecomesStructuredInternalError) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
-  opts.pool = true;
   const Supervisor sup(opts);
   Supervisor::PoolStats stats;
   const auto outcomes = sup.run(
@@ -850,7 +838,6 @@ TEST(SupervisorPool, PooledRepliesCarrySelfReportedRusage) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
-  opts.pool = true;
   const Supervisor sup(opts);
   const auto outcomes =
       sup.run(2, [](std::size_t c) { return std::to_string(c); });
@@ -1072,6 +1059,18 @@ TEST(SupervisedCampaign, MatchesInProcessResults) {
   EXPECT_TRUE(supervised.allCellsOk());
   EXPECT_TRUE(supervised.allDetectedOrBenign());
   EXPECT_TRUE(supervised.allDigestsMatch());
+
+  // With the worker diagnostics cleared (no "worker" objects, no
+  // top-level "resource" object) the documents are byte-identical.
+  FaultCampaignResult filtered = supervised;
+  for (FaultCampaignCell& c : filtered.cells) c.worker = WorkerDiagnostics{};
+  const std::string in_path =
+      ::testing::TempDir() + "/spt_inproc_campaign.json";
+  const std::string pool_path =
+      ::testing::TempDir() + "/spt_pool_campaign.json";
+  ASSERT_TRUE(writeFaultCampaignJson(in_path, in_process));
+  ASSERT_TRUE(writeFaultCampaignJson(pool_path, filtered));
+  EXPECT_EQ(readWholeFile(in_path), readWholeFile(pool_path));
 }
 
 // `sptc inject --resume` semantics: ok checkpoint lines are reused without
@@ -1128,22 +1127,12 @@ TEST(SupervisedCampaign, CheckpointResumeReusesOkCells) {
   }
 }
 
-// Strips the host-dependent members — exactly what CI's determinism diff
-// greps away — so pooled and forked JSON can be compared byte-for-byte.
-std::string filterHostDependentLines(const std::string& json) {
-  std::istringstream is(json);
-  std::ostringstream os;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.find("\"host_") != std::string::npos) continue;
-    if (line.find("\"diagnostic\"") != std::string::npos) continue;
-    if (line.find("\"partial_reply\"") != std::string::npos) continue;
-    os << line << '\n';
-  }
-  return os.str();
-}
-
-TEST(SupervisorPool, PooledSweepJsonMatchesForkedByteForByte) {
+// The supervised and in-process paths run the same cell bodies, so their
+// rows agree field for field, and with the supervisor's own worker
+// diagnostics cleared — which drops each row's "worker" object (with its
+// host_ members) and the top-level "resource" object — the JSON documents
+// are byte-identical.
+TEST(SupervisorPool, PooledSweepMatchesInProcess) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
   }
@@ -1156,74 +1145,29 @@ TEST(SupervisorPool, PooledSweepJsonMatchesForkedByteForByte) {
   }
 
   SweepOptions opts;
+  const auto in_process = runSweep(ParallelSweep(2), cases, opts);
   opts.supervisor.isolate = true;
   opts.supervisor.cell_timeout_seconds = 240.0;
-  opts.supervisor.chaos = *support::ChaosPlan::parse("1:crash");
-  const auto forked = runSweep(ParallelSweep(2), cases, opts);
+  auto pooled = runSweep(ParallelSweep(2), cases, opts);
 
-  opts.supervisor.pool = true;
-  const auto pooled = runSweep(ParallelSweep(2), cases, opts);
-
-  ASSERT_EQ(forked.size(), pooled.size());
-  for (std::size_t i = 0; i < forked.size(); ++i) {
-    EXPECT_EQ(forked[i].status, pooled[i].status) << i;
-    EXPECT_EQ(forked[i].result.baseline.cycles,
-              pooled[i].result.baseline.cycles);
-    EXPECT_EQ(forked[i].result.spt.cycles, pooled[i].result.spt.cycles);
-    EXPECT_EQ(forked[i].worker.attempts, pooled[i].worker.attempts);
-    EXPECT_EQ(forked[i].worker.term_signal, pooled[i].worker.term_signal);
+  ASSERT_EQ(in_process.size(), pooled.size());
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    EXPECT_EQ(in_process[i].status, CellStatus::kOk) << i;
+    EXPECT_EQ(pooled[i].status, in_process[i].status) << i;
+    EXPECT_EQ(pooled[i].result.baseline.cycles,
+              in_process[i].result.baseline.cycles);
+    EXPECT_EQ(pooled[i].result.spt.cycles, in_process[i].result.spt.cycles);
+    EXPECT_EQ(pooled[i].result.spt.threads.spawned,
+              in_process[i].result.spt.threads.spawned);
+    EXPECT_EQ(pooled[i].worker.attempts, 1u);  // really ran on a worker
+    pooled[i].worker = WorkerDiagnostics{};
   }
 
-  const std::string fork_path = ::testing::TempDir() + "/spt_fork_sweep.json";
+  const std::string in_path = ::testing::TempDir() + "/spt_inproc_sweep.json";
   const std::string pool_path = ::testing::TempDir() + "/spt_pool_sweep.json";
-  ASSERT_TRUE(writeSweepJson(fork_path, forked));
+  ASSERT_TRUE(writeSweepJson(in_path, in_process));
   ASSERT_TRUE(writeSweepJson(pool_path, pooled));
-  EXPECT_EQ(filterHostDependentLines(readWholeFile(fork_path)),
-            filterHostDependentLines(readWholeFile(pool_path)));
-}
-
-TEST(SupervisorPool, PooledCampaignMatchesForked) {
-  if (!Supervisor::isolationSupported()) {
-    GTEST_SKIP() << "no fork on this platform";
-  }
-  FaultCampaignOptions forked_opts;
-  forked_opts.seeds = 1;
-  forked_opts.jobs = 4;
-  forked_opts.supervisor.isolate = true;
-  forked_opts.supervisor.cell_timeout_seconds = 240.0;
-
-  FaultCampaignOptions pooled_opts = forked_opts;
-  pooled_opts.supervisor.pool = true;
-
-  const FaultCampaignResult forked = runFaultCampaign(forked_opts);
-  const FaultCampaignResult pooled = runFaultCampaign(pooled_opts);
-
-  ASSERT_EQ(forked.cells.size(), pooled.cells.size());
-  for (std::size_t i = 0; i < forked.cells.size(); ++i) {
-    const FaultCampaignCell& a = forked.cells[i];
-    const FaultCampaignCell& b = pooled.cells[i];
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.fault_seed, b.fault_seed);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.faults.injected, b.faults.injected);
-    EXPECT_EQ(a.faults.detected_by_net, b.faults.detected_by_net);
-    EXPECT_EQ(a.faults.detected_by_oracle, b.faults.detected_by_oracle);
-    EXPECT_EQ(a.faults.benign, b.faults.benign);
-    EXPECT_EQ(a.faults.escaped, b.faults.escaped);
-    EXPECT_EQ(a.arch_digest, b.arch_digest);
-    EXPECT_EQ(a.sequential_digest, b.sequential_digest);
-    EXPECT_EQ(a.digest_match, b.digest_match);
-    EXPECT_GT(b.worker.attempts, 0u);
-  }
-
-  const std::string fork_path =
-      ::testing::TempDir() + "/spt_fork_campaign.json";
-  const std::string pool_path =
-      ::testing::TempDir() + "/spt_pool_campaign.json";
-  ASSERT_TRUE(writeFaultCampaignJson(fork_path, forked));
-  ASSERT_TRUE(writeFaultCampaignJson(pool_path, pooled));
-  EXPECT_EQ(filterHostDependentLines(readWholeFile(fork_path)),
-            filterHostDependentLines(readWholeFile(pool_path)));
+  EXPECT_EQ(readWholeFile(in_path), readWholeFile(pool_path));
 }
 
 // ---- Checkpoint field escaping -------------------------------------------
@@ -1562,7 +1506,6 @@ TEST(SupervisorPool, SurvivesParentEintrStorm) {
 
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.cell_timeout_seconds = 60.0;
   const Supervisor sup(opts);
@@ -1591,9 +1534,9 @@ TEST(SupervisorPool, SurvivesParentEintrStorm) {
 // truncated reply) leave the parent writing request frames into pipes
 // with no reader. With SIGPIPE at its default disposition that write
 // kills the whole process; the supervisor must instead settle each
-// sabotaged cell as a contained protocol_error. Exercised on both worker
-// models, with the default disposition explicitly restored around the
-// runs so a latent regression cannot hide behind gtest's own handlers.
+// sabotaged cell as a contained protocol_error. The default disposition
+// is explicitly restored around the run so a latent regression cannot
+// hide behind gtest's own handlers.
 TEST(Supervisor, WritesToDeadWorkersDoNotRaiseSigpipe) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
@@ -1605,26 +1548,22 @@ TEST(Supervisor, WritesToDeadWorkersDoNotRaiseSigpipe) {
   struct sigaction saved;
   ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &saved), 0);
 
-  for (const bool pooled : {false, true}) {
-    SupervisorOptions opts;
-    opts.isolate = true;
-    opts.pool = pooled;
-    opts.jobs = 2;
-    opts.cell_timeout_seconds = 30.0;
-    // Every cell's worker exits instantly without writing a reply; the
-    // parent races its request/ack traffic against the deaths.
-    opts.chaos = *support::ChaosPlan::parse(
-        "0:exit,1:exit,2:exit,3:exit,4:exit,5:exit,6:exit,7:exit");
-    const Supervisor sup(opts);
-    const auto outcomes = sup.run(8, [](std::size_t cell) {
-      return "cell-" + std::to_string(cell);
-    });
-    ASSERT_EQ(outcomes.size(), 8u) << (pooled ? "pooled" : "forked");
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(outcomes[i].status, CellStatus::kProtocolError)
-          << (pooled ? "pooled" : "forked") << " cell " << i << ": "
-          << outcomes[i].diagnostic;
-    }
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 2;
+  opts.cell_timeout_seconds = 30.0;
+  // Every cell's worker exits instantly without writing a reply; the
+  // parent races its request/ack traffic against the deaths.
+  opts.chaos = *support::ChaosPlan::parse(
+      "0:exit,1:exit,2:exit,3:exit,4:exit,5:exit,6:exit,7:exit");
+  const Supervisor sup(opts);
+  const auto outcomes = sup.run(8, [](std::size_t cell) {
+    return "cell-" + std::to_string(cell);
+  });
+  ASSERT_EQ(outcomes.size(), 8u);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].status, CellStatus::kProtocolError)
+        << "cell " << i << ": " << outcomes[i].diagnostic;
   }
 
   ASSERT_EQ(::sigaction(SIGPIPE, &saved, nullptr), 0);
@@ -1640,7 +1579,6 @@ TEST(SupervisorPool, MidFramePipeCloseIsContainedPerCell) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.cell_timeout_seconds = 60.0;
   opts.chaos = *support::ChaosPlan::parse("2:partial,5:partial");

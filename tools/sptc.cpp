@@ -96,17 +96,12 @@
 //   --max-cycles N     per-cell simulated-cycle budget (0 = unlimited)
 //
 // Process isolation for sweep/inject (docs/ROBUSTNESS.md):
-//   --isolate          run each cell in a forked worker under the
-//                      execution supervisor: a segfault, abort, OOM, hang
-//                      or corrupt reply becomes a non-ok row while the
-//                      rest of the run completes
+//   --isolate          run cells on a warm pool of `--jobs` long-lived
+//                      worker processes under the execution supervisor: a
+//                      segfault, abort, OOM, hang or corrupt reply becomes
+//                      a non-ok row (only that worker is respawned) while
+//                      the rest of the run completes
 //   --no-isolate       force the in-process path (the default)
-//   --pool             run supervised cells on a warm pool of `--jobs`
-//                      long-lived workers instead of forking one worker
-//                      per cell (implies --isolate); containment, chaos,
-//                      retries and JSON output are identical, only the
-//                      per-cell fork overhead disappears
-//   --no-pool          force fork-per-cell workers (the default)
 //   --cell-timeout S   per-worker wall-clock deadline in seconds
 //                      (fractional ok; SIGKILL past it; 0 = none)
 //   --retries N        extra attempts for crashed / timed-out / corrupt
@@ -134,12 +129,12 @@
 // Options for perf:
 //   --reps N           timed repetitions per machine, fastest wins
 //                      (default 3)
-//   --isolate          run each workload's setup + timed measurement in
-//                      its own forked worker (serially — measurements
-//                      never overlap): fresh address space per workload,
-//                      and supervisor containment for crashes and hangs.
-//                      --cell-timeout / --retries / --rlimit-* apply; the
-//                      per-pass compile-time table is unavailable
+//   --isolate          run every workload's setup + timed measurement on
+//                      a one-worker pool (serially — measurements never
+//                      overlap) with supervisor containment for crashes
+//                      and hangs. --cell-timeout / --retries / --rlimit-*
+//                      apply; the per-pass compile-time table is
+//                      unavailable
 //
 // Options for run/compile/sweep:
 //   --scale N          workload input scale (default 1)
@@ -201,10 +196,10 @@ extern "C" void onInterruptSignal(int) { g_interrupted = 1; }
 
 /// Installs SIGINT/SIGTERM handlers that set the stop flag. Deliberately
 /// without SA_RESTART so a signal wakes the supervisor's poll() instead
-/// of silently restarting it. Only used for supervised (--isolate/--pool)
-/// runs and the service — the in-process path keeps default signal
-/// behavior (die now; per-line checkpoint flushes already make --resume
-/// safe, and the loader drops a torn trailing line).
+/// of silently restarting it. Only used for supervised (--isolate) runs
+/// and the service — the in-process path keeps default signal behavior
+/// (die now; per-line checkpoint flushes already make --resume safe, and
+/// the loader drops a torn trailing line).
 void installInterruptHandlers() {
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
   struct sigaction sa {};
@@ -419,11 +414,6 @@ Options parseOptions(int argc, char** argv, int first,
       o.supervisor.isolate = true;
     } else if (arg == "--no-isolate") {
       o.supervisor.isolate = false;
-    } else if (arg == "--pool") {
-      o.supervisor.pool = true;
-      o.supervisor.isolate = true;  // pooled workers are supervised workers
-    } else if (arg == "--no-pool") {
-      o.supervisor.pool = false;
     } else if (arg == "--cell-timeout") {
       o.supervisor.cell_timeout_seconds =
           std::strtod(need_value(i), nullptr);
