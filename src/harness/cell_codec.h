@@ -74,6 +74,8 @@ class ByteReader {
   }
   bool ok() const { return ok_; }
   bool atEnd() const { return pos_ == bytes_.size(); }
+  /// Bytes consumed so far (where an unframed tail starts).
+  std::size_t position() const { return pos_; }
 
  private:
   bool raw(void* dst, std::size_t n) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/json.h"
+
 namespace spt::harness {
 
 /// Outcome of one sweep/campaign cell. A non-ok cell is reported, not
@@ -112,5 +114,33 @@ struct ResourceReport {
     }
   }
 };
+
+/// The `worker` member of a sweep row or campaign cell; absent for a cell
+/// that never went through a worker, so in-process JSON is unchanged.
+inline void writeWorkerJson(support::JsonWriter& w, const WorkerDiagnostics& d) {
+  if (d.attempts == 0) return;
+  w.key("worker").beginObject();
+  w.member("attempts", static_cast<std::uint64_t>(d.attempts));
+  w.member("exit_code", d.exit_code);
+  w.member("term_signal", d.term_signal);
+  w.member("timed_out", d.timed_out);
+  w.member("host_user_seconds", d.host_user_seconds);
+  w.member("host_sys_seconds", d.host_sys_seconds);
+  w.member("host_max_rss_kb", static_cast<std::int64_t>(d.host_max_rss_kb));
+  if (!d.partial_reply.empty()) w.member("partial_reply", d.partial_reply);
+  w.endObject();
+}
+
+/// The `resource` member: sweep and campaign documents (when any cell was
+/// supervised) and the sweep service's status document.
+inline void writeResourceJson(support::JsonWriter& w, const ResourceReport& r) {
+  w.key("resource").beginObject();
+  w.member("supervised_cells", static_cast<std::uint64_t>(r.supervised_cells));
+  w.member("attempts", r.attempts);
+  w.member("host_user_seconds", r.host_user_seconds);
+  w.member("host_sys_seconds", r.host_sys_seconds);
+  w.member("host_max_rss_kb", r.host_max_rss_kb);
+  w.endObject();
+}
 
 }  // namespace spt::harness

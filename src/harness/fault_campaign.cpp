@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "harness/cell_codec.h"
@@ -31,6 +30,26 @@ struct Prepared {
   std::unique_ptr<trace::LoopIndex> index;
   std::uint64_t sequential_digest = 0;
 };
+
+/// Phase 1 for one workload: build, compile (following the machine's chain
+/// depth, so chained campaigns exercise slice-equipped forks too), trace,
+/// index, and digest the sequential replay.
+Prepared prepareWorkload(const SuiteEntry& entry,
+                         const FaultCampaignOptions& opts) {
+  Prepared p;
+  p.name = entry.workload.name;
+  p.module = std::make_unique<ir::Module>(entry.workload.build(opts.scale));
+  compiler::CompilerOptions copts = entry.copts;
+  copts.spec_threads = opts.machine.spec_threads;
+  compiler::SptCompiler cc(copts);
+  InterpProfileRunner runner;
+  cc.compile(*p.module, runner);
+  TracedRun run = traceProgram(*p.module, {}, opts.machine.max_trace_records);
+  p.trace = std::move(run.trace);
+  p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
+  p.sequential_digest = sim::Oracle::sequentialDigest(*p.module, p.trace);
+  return p;
+}
 
 }  // namespace
 
@@ -63,9 +82,12 @@ CheckpointLine campaignCheckpointLine(const FaultCampaignCell& cell,
   return line;
 }
 
-namespace {
-
-void applyCheckpointLine(const CheckpointLine& l, FaultCampaignCell& cell) {
+FaultCampaignCell campaignCellFromCheckpointLine(const CheckpointLine& l,
+                                                 const std::string& benchmark,
+                                                 std::uint64_t fault_seed) {
+  FaultCampaignCell cell;
+  cell.benchmark = benchmark;
+  cell.fault_seed = fault_seed;
   cell.status = l.status;
   cell.diagnostic = l.diagnostic;
   cell.faults.injected = l.metrics[0];
@@ -79,17 +101,6 @@ void applyCheckpointLine(const CheckpointLine& l, FaultCampaignCell& cell) {
   cell.digest_match = l.metrics[8] != 0;
   cell.diverged = l.metrics[9] != 0;
   cell.divergence_pos = l.metrics[10];
-}
-
-}  // namespace
-
-FaultCampaignCell campaignCellFromCheckpointLine(const CheckpointLine& line,
-                                                 const std::string& benchmark,
-                                                 std::uint64_t fault_seed) {
-  FaultCampaignCell cell;
-  cell.benchmark = benchmark;
-  cell.fault_seed = fault_seed;
-  applyCheckpointLine(line, cell);
   return cell;
 }
 
@@ -148,121 +159,86 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
   // Phase 1: compile + trace each workload once, in parallel. The pool is
   // torn down before phase 2, so supervised forks never race pool threads.
   std::vector<Prepared> prepared =
-      sweep.run(suite.size(), [&](std::size_t i) {
-        const SuiteEntry& entry = suite[i];
-        Prepared p;
-        p.name = entry.workload.name;
-        p.module =
-            std::make_unique<ir::Module>(entry.workload.build(opts.scale));
-        // The compiler follows the machine's chain depth so chained
-        // campaigns exercise slice-equipped forks too.
-        compiler::CompilerOptions copts = entry.copts;
-        copts.spec_threads = opts.machine.spec_threads;
-        compiler::SptCompiler cc(copts);
-        InterpProfileRunner runner;
-        cc.compile(*p.module, runner);
-        TracedRun run = traceProgram(*p.module, {},
-                                     opts.machine.max_trace_records);
-        p.trace = std::move(run.trace);
-        p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
-        p.sequential_digest =
-            sim::Oracle::sequentialDigest(*p.module, p.trace);
-        return p;
-      });
+      sweep.run(suite.size(),
+                [&](std::size_t i) { return prepareWorkload(suite[i], opts); });
 
   // Phase 2: the workloads × seeds grid over the shared traces. Cell c's
   // fault seed depends only on c, so the grid is bit-reproducible at any
-  // worker count (and across the isolated / in-process paths).
+  // worker count (and across the isolated / in-process paths). Resume
+  // reuses ok checkpoint lines; every other cell runs, in index order.
   const std::size_t n_cells = prepared.size() * opts.seeds;
   FaultCampaignResult result;
-
-  std::map<std::string, CheckpointLine> resumed;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    std::string torn_warning;
-    resumed = loadCheckpoint(opts.checkpoint_path, kCampaignCheckpointMetrics,
-                             &torn_warning);
-    if (!torn_warning.empty()) {
-      std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
+  result.cells.resize(n_cells);
+  std::vector<std::size_t> to_run;
+  {
+    std::map<std::string, CheckpointLine> resumed;
+    if (opts.resume && !opts.checkpoint_path.empty()) {
+      std::string torn_warning;
+      resumed = loadCheckpoint(opts.checkpoint_path,
+                               kCampaignCheckpointMetrics, &torn_warning);
+      if (!torn_warning.empty()) {
+        std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
+      }
+    }
+    for (std::size_t c = 0; c < n_cells; ++c) {
+      const std::string& name = prepared[c / opts.seeds].name;
+      const std::uint64_t seed = support::deriveSeed(opts.base_seed, c);
+      const auto it =
+          resumed.find(checkpointKey(name, campaignCellConfigKey(c, seed)));
+      if (it != resumed.end() && it->second.status == CellStatus::kOk) {
+        result.cells[c] = campaignCellFromCheckpointLine(it->second, name, seed);
+      } else {
+        to_run.push_back(c);
+      }
     }
   }
-  // Reuses an ok checkpoint line for cell c, if one matches its key.
-  const auto resumedCell =
-      [&](std::size_t c) -> std::optional<FaultCampaignCell> {
-    if (resumed.empty()) return std::nullopt;
-    FaultCampaignCell cell;
-    cell.benchmark = prepared[c / opts.seeds].name;
-    cell.fault_seed = support::deriveSeed(opts.base_seed, c);
-    const auto it = resumed.find(checkpointKey(
-        cell.benchmark, campaignCellConfigKey(c, cell.fault_seed)));
-    if (it == resumed.end() || it->second.status != CellStatus::kOk) {
-      return std::nullopt;
-    }
-    applyCheckpointLine(it->second, cell);
-    return cell;
-  };
 
   DurableAppendFile checkpoint;
   std::mutex checkpoint_mu;
   if (!opts.checkpoint_path.empty()) {
     checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
   }
+  // The one settle step: pool threads call it concurrently, the
+  // supervisor's parent loop one cell at a time.
+  const auto settle = [&](std::size_t c, FaultCampaignCell cell) {
+    if (checkpoint.isOpen()) {
+      const std::lock_guard<std::mutex> lock(checkpoint_mu);
+      checkpoint.appendLine(
+          formatCheckpointLine(campaignCheckpointLine(cell, c)));
+      checkpoint.sync();
+    }
+    result.cells[c] = std::move(cell);
+  };
 
   if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
-    result.cells.resize(n_cells);
-    std::vector<std::size_t> to_run;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      if (std::optional<FaultCampaignCell> cell = resumedCell(c)) {
-        result.cells[c] = std::move(*cell);
-      } else {
-        to_run.push_back(c);
-      }
-    }
-
+    // Workers share phase 1's traces through copy-on-write.
     SupervisorOptions sopts = opts.supervisor;
     if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
-    const Supervisor supervisor(sopts);
-
-    const auto produce = [&](std::size_t k) {
-      const std::size_t c = to_run[k];
-      return encodeCampaignCell(
-          runCampaignCell(prepared[c / opts.seeds], c, opts));
-    };
-    // Parent-side settle hook: single-threaded, no checkpoint lock needed.
-    const auto on_settled = [&](std::size_t k,
-                                const Supervisor::Outcome& oc) {
-      const std::size_t c = to_run[k];
-      FaultCampaignCell cell = campaignCellFromOutcome(
-          prepared[c / opts.seeds].name,
-          support::deriveSeed(opts.base_seed, c), oc);
-      // A failed cell never carried the worker's digest; fill the ground
-      // truth from phase 1 so its checkpoint line matches the historical
-      // format (an ok cell's payload already carries it).
-      if (!cell.ok() && cell.sequential_digest == 0) {
-        cell.sequential_digest = prepared[c / opts.seeds].sequential_digest;
-      }
-      if (checkpoint.isOpen()) {
-        checkpoint.appendLine(
-            formatCheckpointLine(campaignCheckpointLine(cell, c)));
-        checkpoint.sync();
-      }
-      result.cells[c] = std::move(cell);
-    };
-
-    supervisor.run(to_run.size(), produce, on_settled);
+    Supervisor(sopts).run(
+        to_run.size(),
+        [&](std::size_t k) {
+          const std::size_t c = to_run[k];
+          return encodeCampaignCell(
+              runCampaignCell(prepared[c / opts.seeds], c, opts));
+        },
+        [&](std::size_t k, const Supervisor::Outcome& oc) {
+          const std::size_t c = to_run[k];
+          const Prepared& p = prepared[c / opts.seeds];
+          FaultCampaignCell cell = campaignCellFromOutcome(
+              p.name, support::deriveSeed(opts.base_seed, c), oc);
+          // A failed cell never carried the worker's digest; fill the
+          // ground truth from phase 1 so its checkpoint line matches the
+          // in-process one (an ok cell's payload already carries it).
+          if (!cell.ok() && cell.sequential_digest == 0) {
+            cell.sequential_digest = p.sequential_digest;
+          }
+          settle(c, std::move(cell));
+        });
   } else {
-    result.cells = sweep.run(n_cells, [&](std::size_t c) {
-      if (std::optional<FaultCampaignCell> cell = resumedCell(c)) {
-        return std::move(*cell);
-      }
-      FaultCampaignCell cell =
-          runCampaignCell(prepared[c / opts.seeds], c, opts);
-      if (checkpoint.isOpen()) {
-        const std::lock_guard<std::mutex> lock(checkpoint_mu);
-        checkpoint.appendLine(
-            formatCheckpointLine(campaignCheckpointLine(cell, c)));
-        checkpoint.sync();
-      }
-      return cell;
+    sweep.run(to_run.size(), [&](std::size_t k) {
+      const std::size_t c = to_run[k];
+      settle(c, runCampaignCell(prepared[c / opts.seeds], c, opts));
+      return true;
     });
   }
 
@@ -282,25 +258,11 @@ FaultCampaignCell runFaultCampaignCellStandalone(
   cell.fault_seed = support::deriveSeed(opts.base_seed, cell_index);
   try {
     for (const SuiteEntry& entry : defaultSuite()) {
-      if (entry.workload.name != benchmark) continue;
-      // The same prepare steps as runFaultCampaign's phase 1, scoped to
-      // one workload. Compilation and tracing are deterministic, so the
-      // cell's JSON-visible fields equal the batch campaign's.
-      Prepared p;
-      p.name = entry.workload.name;
-      p.module =
-          std::make_unique<ir::Module>(entry.workload.build(opts.scale));
-      compiler::CompilerOptions copts = entry.copts;
-      copts.spec_threads = opts.machine.spec_threads;
-      compiler::SptCompiler cc(copts);
-      InterpProfileRunner runner;
-      cc.compile(*p.module, runner);
-      TracedRun run =
-          traceProgram(*p.module, {}, opts.machine.max_trace_records);
-      p.trace = std::move(run.trace);
-      p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
-      p.sequential_digest = sim::Oracle::sequentialDigest(*p.module, p.trace);
-      return runCampaignCell(p, cell_index, opts);
+      // Compilation and tracing are deterministic, so the cell's
+      // JSON-visible fields equal the batch campaign's.
+      if (entry.workload.name == benchmark) {
+        return runCampaignCell(prepareWorkload(entry, opts), cell_index, opts);
+      }
     }
     cell.status = CellStatus::kInternalError;
     cell.diagnostic = "unknown workload '" + benchmark + "'";
@@ -374,21 +336,7 @@ bool writeFaultCampaignJson(const std::string& path,
       w.member("diff", c.divergence_diff);
       w.endObject();
     }
-    if (c.worker.attempts > 0) {
-      w.key("worker").beginObject();
-      w.member("attempts", static_cast<std::uint64_t>(c.worker.attempts));
-      w.member("exit_code", c.worker.exit_code);
-      w.member("term_signal", c.worker.term_signal);
-      w.member("timed_out", c.worker.timed_out);
-      w.member("host_user_seconds", c.worker.host_user_seconds);
-      w.member("host_sys_seconds", c.worker.host_sys_seconds);
-      w.member("host_max_rss_kb",
-               static_cast<std::int64_t>(c.worker.host_max_rss_kb));
-      if (!c.worker.partial_reply.empty()) {
-        w.member("partial_reply", c.worker.partial_reply);
-      }
-      w.endObject();
-    }
+    writeWorkerJson(w, c.worker);
     w.endObject();
   }
   w.endArray();
@@ -396,16 +344,7 @@ bool writeFaultCampaignJson(const std::string& path,
   // only for supervised runs so in-process output is unchanged.
   ResourceReport resource;
   for (const FaultCampaignCell& c : result.cells) resource.add(c.worker);
-  if (resource.supervised_cells > 0) {
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resource.supervised_cells));
-    w.member("attempts", resource.attempts);
-    w.member("host_user_seconds", resource.host_user_seconds);
-    w.member("host_sys_seconds", resource.host_sys_seconds);
-    w.member("host_max_rss_kb", resource.host_max_rss_kb);
-    w.endObject();
-  }
+  if (resource.supervised_cells > 0) writeResourceJson(w, resource);
   w.endObject();
   out << "\n";
   return static_cast<bool>(out);

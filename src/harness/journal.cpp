@@ -5,21 +5,11 @@
 #include <sstream>
 
 #include "harness/checkpoint.h"
+#include "support/fnv.h"
 
 namespace spt::harness {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) {
-    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  return h;
-}
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
@@ -54,7 +44,8 @@ bool fromHex(const std::string& hex, std::string* out) {
 }
 
 std::string checksumHex(const std::string& body) {
-  const std::uint64_t h = fnv1a(body);
+  const std::uint64_t h =
+      support::fnv1a(support::kFnvOffset, body.data(), body.size());
   std::string out(16, '0');
   for (int i = 0; i < 16; ++i) {
     out[15 - i] = kHexDigits[(h >> (4 * i)) & 0xf];

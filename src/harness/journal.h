@@ -25,7 +25,7 @@
 //   with the checkpoint escaping (it is client-controlled text).
 // - `checkpoint` is the escaped path of the checkpoint file the request is
 //   bound to ("" when the service runs without one).
-// - `hex(request-bytes)` is the lowercase-hex encoding of the SPTS v1
+// - `hex(request-bytes)` is the lowercase-hex encoding of the tokenless
 //   `encodeServiceRequest` payload — the full grid description (machine,
 //   copts, benchmarks, seeds, spec-threads, deadline, chaos). Replaying a
 //   journal therefore needs no side channel: the admit record alone

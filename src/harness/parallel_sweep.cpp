@@ -14,14 +14,7 @@ namespace spt::harness {
 
 std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases) {
-  return sweep.run(cases.size(), [&](std::size_t i) {
-    const SweepCase& c = cases[i];
-    SweepRow row;
-    row.benchmark = c.benchmark;
-    row.config = c.config;
-    row.result = runSuiteEntry(c.entry, c.machine, c.scale);
-    return row;
-  });
+  return runSweep(sweep, cases, SweepOptions{});
 }
 
 // The sweep stores the 20 summary metrics writeSweepJson emits in its
@@ -165,67 +158,6 @@ SweepRow runCell(const SweepCase& c, bool catch_all, TraceCache* cache) {
   return row;
 }
 
-/// The supervised sweep path (the warm worker pool). `resumed` holds ok
-/// rows reused from the checkpoint; only the remaining cells go to
-/// workers.
-std::vector<SweepRow> runSweepSupervised(
-    const ParallelSweep& sweep, const std::vector<SweepCase>& cases,
-    const SweepOptions& opts, std::map<std::string, SweepRow>& resumed,
-    TraceCache* cache) {
-  std::vector<SweepRow> rows(cases.size());
-  std::vector<std::size_t> to_run;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto it =
-        resumed.find(checkpointKey(cases[i].benchmark, cases[i].config));
-    if (opts.resume && it != resumed.end() && it->second.ok()) {
-      rows[i] = it->second;
-    } else {
-      to_run.push_back(i);
-    }
-  }
-
-  // Checkpoints go through the durable fd writer (O_APPEND + fsync per
-  // record): the old ofstream flush() only reached the page cache, so a
-  // power loss — or the SIGKILLs the service crash campaign throws — could
-  // lose records the process believed were safe.
-  DurableAppendFile checkpoint;
-  if (!opts.checkpoint_path.empty()) {
-    checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
-  }
-
-  SupervisorOptions sopts = opts.supervisor;
-  if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
-  const Supervisor supervisor(sopts);
-
-  // The producer runs in a pooled worker. Supervision implies
-  // quarantine semantics: a cell exception becomes a non-ok row in the
-  // payload either way (the alternative — letting it escape — would just
-  // downgrade a structured status into a generic worker error). With a
-  // trace cache, workers rendezvous on the cache *files*: whichever
-  // worker first needs a workload's trace writes it, every other worker
-  // mmaps the same file, so the page cache holds one physical copy per
-  // workload across the whole worker fleet.
-  const auto produce = [&](std::size_t k) {
-    return produceSweepCellPayload(cases[to_run[k]], cache);
-  };
-
-  // The settle hook runs in the parent, single-threaded, as each cell's
-  // retries resolve — checkpoint appends need no lock here.
-  const auto on_settled = [&](std::size_t k, const Supervisor::Outcome& oc) {
-    const std::size_t i = to_run[k];
-    SweepRow row =
-        sweepRowFromOutcome(cases[i].benchmark, cases[i].config, oc);
-    if (checkpoint.isOpen()) {
-      checkpoint.appendLine(formatCheckpointLine(sweepCheckpointLine(row)));
-      checkpoint.sync();
-    }
-    rows[i] = std::move(row);
-  };
-
-  supervisor.run(to_run.size(), produce, on_settled);
-  return rows;
-}
-
 }  // namespace
 
 std::string produceSweepCellPayload(const SweepCase& c, TraceCache* cache) {
@@ -260,15 +192,30 @@ SweepRow sweepRowFromOutcome(const std::string& benchmark,
 std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases,
                                const SweepOptions& opts) {
-  std::map<std::string, SweepRow> resumed;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    std::string torn_warning;
-    for (auto& [key, line] : loadCheckpoint(
-             opts.checkpoint_path, kSweepCheckpointMetrics, &torn_warning)) {
-      resumed[key] = sweepRowFromCheckpointLine(line);
+  // Resume: ok rows found in the checkpoint are reused; every other cell
+  // runs, in index order, on whichever path the options select.
+  std::vector<SweepRow> rows(cases.size());
+  std::vector<std::size_t> to_run;
+  {
+    std::map<std::string, SweepRow> resumed;
+    if (opts.resume && !opts.checkpoint_path.empty()) {
+      std::string torn_warning;
+      for (auto& [key, line] : loadCheckpoint(
+               opts.checkpoint_path, kSweepCheckpointMetrics, &torn_warning)) {
+        resumed[key] = sweepRowFromCheckpointLine(line);
+      }
+      if (!torn_warning.empty()) {
+        std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
+      }
     }
-    if (!torn_warning.empty()) {
-      std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const auto it =
+          resumed.find(checkpointKey(cases[i].benchmark, cases[i].config));
+      if (it != resumed.end() && it->second.ok()) {
+        rows[i] = it->second;
+      } else {
+        to_run.push_back(i);
+      }
     }
   }
 
@@ -281,35 +228,54 @@ std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
 
   // The cache lives for the whole sweep (in the supervised case: in the
   // parent, from which workers inherit the directory; each process maps
-  // the shared files on demand).
+  // the shared files on demand). With pooled workers, whichever worker
+  // first needs a workload's trace writes it and every other worker maps
+  // the same file, so the page cache holds one copy per workload.
   std::optional<TraceCache> cache;
   if (!opts.trace_cache_dir.empty()) cache.emplace(opts.trace_cache_dir);
   TraceCache* cache_ptr = cache ? &*cache : nullptr;
 
-  if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
-    return runSweepSupervised(sweep, cases, opts, resumed, cache_ptr);
-  }
-
+  // Checkpoints go through the durable fd writer (O_APPEND + fsync per
+  // record), so a power loss or SIGKILL loses at most the cells in flight.
   DurableAppendFile checkpoint;
   std::mutex checkpoint_mu;
   if (!opts.checkpoint_path.empty()) {
     checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
   }
-
-  return sweep.run(cases.size(), [&](std::size_t i) {
-    const SweepCase& c = cases[i];
-    if (opts.resume) {
-      const auto it = resumed.find(checkpointKey(c.benchmark, c.config));
-      if (it != resumed.end() && it->second.ok()) return it->second;
-    }
-    SweepRow row = runCell(c, /*catch_all=*/opts.quarantine, cache_ptr);
+  // The one settle step: pool threads call it concurrently, the
+  // supervisor's parent loop one cell at a time.
+  const auto settle = [&](std::size_t i, SweepRow row) {
     if (checkpoint.isOpen()) {
       const std::lock_guard<std::mutex> lock(checkpoint_mu);
       checkpoint.appendLine(formatCheckpointLine(sweepCheckpointLine(row)));
       checkpoint.sync();
     }
-    return row;
-  });
+    rows[i] = std::move(row);
+  };
+
+  if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
+    // Supervision implies quarantine semantics in the worker: a cell
+    // exception becomes a non-ok row in the payload either way.
+    SupervisorOptions sopts = opts.supervisor;
+    if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
+    Supervisor(sopts).run(
+        to_run.size(),
+        [&](std::size_t k) {
+          return produceSweepCellPayload(cases[to_run[k]], cache_ptr);
+        },
+        [&](std::size_t k, const Supervisor::Outcome& oc) {
+          const SweepCase& c = cases[to_run[k]];
+          settle(to_run[k], sweepRowFromOutcome(c.benchmark, c.config, oc));
+        });
+  } else {
+    sweep.run(to_run.size(), [&](std::size_t k) {
+      settle(to_run[k],
+             runCell(cases[to_run[k]], /*catch_all=*/opts.quarantine,
+                     cache_ptr));
+      return true;
+    });
+  }
+  return rows;
 }
 
 bool writeSweepJson(const std::string& path,
@@ -369,43 +335,17 @@ bool writeSweepJson(const std::string& path,
       w.endObject();
     }
     // Supervisor containment data, only for cells that went through a
-    // worker — the in-process path's output is byte-identical to before.
-    // host_-prefixed members are host-dependent (CI filters them out of
-    // determinism diffs with `grep -v '"host_'`).
-    if (r.worker.attempts > 0) {
-      w.key("worker").beginObject();
-      w.member("attempts", static_cast<std::uint64_t>(r.worker.attempts));
-      w.member("exit_code", r.worker.exit_code);
-      w.member("term_signal", r.worker.term_signal);
-      w.member("timed_out", r.worker.timed_out);
-      w.member("host_user_seconds", r.worker.host_user_seconds);
-      w.member("host_sys_seconds", r.worker.host_sys_seconds);
-      w.member("host_max_rss_kb",
-               static_cast<std::int64_t>(r.worker.host_max_rss_kb));
-      if (!r.worker.partial_reply.empty()) {
-        w.member("partial_reply", r.worker.partial_reply);
-      }
-      w.endObject();
-    }
+    // worker. host_-prefixed members are host-dependent (CI filters them
+    // out of determinism diffs with `grep -v '"host_'`).
+    writeWorkerJson(w, r.worker);
     w.endObject();
   }
   w.endArray();
   // Sweep-level rusage aggregate; present only when at least one cell ran
-  // under the supervisor, so in-process output stays byte-identical to
-  // before. Cell/attempt counts are deterministic across worker models;
-  // the host_ members are filtered from CI diffs like the per-row ones.
+  // under the supervisor, so in-process output stays unchanged.
   ResourceReport resource;
   for (const SweepRow& r : rows) resource.add(r.worker);
-  if (resource.supervised_cells > 0) {
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resource.supervised_cells));
-    w.member("attempts", resource.attempts);
-    w.member("host_user_seconds", resource.host_user_seconds);
-    w.member("host_sys_seconds", resource.host_sys_seconds);
-    w.member("host_max_rss_kb", resource.host_max_rss_kb);
-    w.endObject();
-  }
+  if (resource.supervised_cells > 0) writeResourceJson(w, resource);
   w.endObject();
   out << "\n";
   return static_cast<bool>(out);

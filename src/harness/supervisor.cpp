@@ -4,16 +4,16 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <sstream>
-#include <thread>
 
+#include "harness/cell_codec.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_SUPERVISOR_POSIX 1
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -24,204 +24,53 @@
 #endif
 
 namespace spt::harness {
-namespace {
 
-// ---- Frame codec (trace_io v2 FNV approach) -------------------------------
-
-constexpr char kFrameMagic[4] = {'S', 'P', 'T', 'W'};
-// magic + version + kind + length.
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 1 + 8;
-// A reply larger than this is corruption, not a result.
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-void appendRaw(std::string& out, const void* data, std::size_t n) {
-  out.append(static_cast<const char*>(data), n);
-}
-
-std::string hexDump(const std::string& bytes, std::size_t limit) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  const std::size_t n = std::min(bytes.size(), limit);
-  out.reserve(n * 2 + 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char c = static_cast<unsigned char>(bytes[i]);
-    out.push_back(digits[c >> 4]);
-    out.push_back(digits[c & 0xf]);
-  }
-  if (bytes.size() > limit) out += "..";
-  return out;
-}
-
-}  // namespace
-
-std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload) {
-  const std::uint32_t version = kSupervisorFrameVersion;
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size() + 8);
-  appendRaw(out, kFrameMagic, sizeof kFrameMagic);
-  appendRaw(out, &version, sizeof version);
-  appendRaw(out, &kind, sizeof kind);
-  const std::uint64_t length = payload.size();
-  appendRaw(out, &length, sizeof length);
-  out += payload;
-  std::uint64_t checksum = kFnvOffset;
-  checksum = fnv1a(checksum, &kind, sizeof kind);
-  checksum = fnv1a(checksum, &length, sizeof length);
-  checksum = fnv1a(checksum, payload.data(), payload.size());
-  appendRaw(out, &checksum, sizeof checksum);
-  return out;
-}
-
-bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
-                           std::string* payload, std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (bytes.empty()) return fail("empty reply (no frame)");
-  if (bytes.size() < kFrameHeaderBytes + 8) {
-    return fail("short reply: " + std::to_string(bytes.size()) +
-                " bytes, frame header needs " +
-                std::to_string(kFrameHeaderBytes + 8));
-  }
-  if (std::memcmp(bytes.data(), kFrameMagic, sizeof kFrameMagic) != 0) {
-    return fail("bad frame magic (first bytes " + hexDump(bytes, 8) + ")");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof version);
-  if (version != kSupervisorFrameVersion) {
-    return fail("unsupported frame version " + std::to_string(version) +
-                " (expected " + std::to_string(kSupervisorFrameVersion) + ")");
-  }
-  std::uint8_t k = 0;
-  std::memcpy(&k, bytes.data() + 8, sizeof k);
-  if (k > kFrameKindError) {
-    return fail("frame kind " + std::to_string(k) + " is not a request, "
-                "reply, or error");
-  }
-  std::uint64_t length = 0;
-  std::memcpy(&length, bytes.data() + 9, sizeof length);
-  if (length > kMaxPayloadBytes) {
-    return fail("frame length " + std::to_string(length) +
-                " exceeds the payload cap");
-  }
-  if (bytes.size() != kFrameHeaderBytes + length + 8) {
-    return fail("frame length mismatch: header says " +
-                std::to_string(length) + " payload bytes, reply carries " +
-                std::to_string(bytes.size() - kFrameHeaderBytes - 8));
-  }
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + kFrameHeaderBytes + length,
-              sizeof stored);
-  std::uint64_t checksum = kFnvOffset;
-  checksum = fnv1a(checksum, &k, sizeof k);
-  checksum = fnv1a(checksum, &length, sizeof length);
-  checksum = fnv1a(checksum, bytes.data() + kFrameHeaderBytes, length);
-  if (checksum != stored) {
-    return fail("frame checksum mismatch: stored " + std::to_string(stored) +
-                ", computed " + std::to_string(checksum) +
-                " (reply bytes corrupted)");
-  }
-  if (kind != nullptr) *kind = k;
-  if (payload != nullptr) {
-    payload->assign(bytes, kFrameHeaderBytes, length);
-  }
-  return true;
-}
-
-FrameScan scanSupervisorFrame(const std::string& buf,
-                              std::size_t* frame_bytes, std::string* error) {
-  const auto corrupt = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return FrameScan::kCorrupt;
-  };
-  // Reject a garbage stream on the first bytes that can prove it garbage,
-  // rather than waiting for a length that will never arrive.
-  const std::size_t magic_avail = std::min(buf.size(), sizeof kFrameMagic);
-  if (std::memcmp(buf.data(), kFrameMagic, magic_avail) != 0) {
-    return corrupt("bad frame magic (first bytes " + hexDump(buf, 8) + ")");
-  }
-  if (buf.size() < 8) return FrameScan::kNeedMore;
-  std::uint32_t version = 0;
-  std::memcpy(&version, buf.data() + 4, sizeof version);
-  if (version != kSupervisorFrameVersion) {
-    return corrupt("unsupported frame version " + std::to_string(version));
-  }
-  if (buf.size() < kFrameHeaderBytes) return FrameScan::kNeedMore;
-  std::uint64_t length = 0;
-  std::memcpy(&length, buf.data() + 9, sizeof length);
-  if (length > kMaxPayloadBytes) {
-    return corrupt("frame length " + std::to_string(length) +
-                   " exceeds the payload cap");
-  }
-  const std::size_t total =
-      kFrameHeaderBytes + static_cast<std::size_t>(length) + 8;
-  if (buf.size() < total) return FrameScan::kNeedMore;
-  if (frame_bytes != nullptr) *frame_bytes = total;
-  return FrameScan::kFrame;
-}
+namespace wire = support::wire;
 
 std::string encodePoolReply(const PoolReplyHeader& header,
                             const std::string& inner) {
-  std::string out;
-  out.reserve(32 + inner.size());
-  appendRaw(out, &header.id, sizeof header.id);
-  appendRaw(out, &header.user_seconds, sizeof header.user_seconds);
-  appendRaw(out, &header.sys_seconds, sizeof header.sys_seconds);
-  appendRaw(out, &header.max_rss_kb, sizeof header.max_rss_kb);
-  out += inner;
-  return out;
+  ByteWriter w;
+  w.u64(header.id);
+  w.f64(header.user_seconds);
+  w.f64(header.sys_seconds);
+  w.u64(static_cast<std::uint64_t>(header.max_rss_kb));
+  return w.take() + inner;
 }
 
 bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
                      std::string* inner) {
-  constexpr std::size_t kPrefix = 8 + 8 + 8 + 8;
-  if (payload.size() < kPrefix) return false;
-  std::memcpy(&header->id, payload.data(), 8);
-  std::memcpy(&header->user_seconds, payload.data() + 8, 8);
-  std::memcpy(&header->sys_seconds, payload.data() + 16, 8);
-  std::memcpy(&header->max_rss_kb, payload.data() + 24, 8);
-  inner->assign(payload, kPrefix, payload.size() - kPrefix);
+  ByteReader r(payload);
+  std::uint64_t rss = 0;
+  if (!(r.u64(&header->id) && r.f64(&header->user_seconds) &&
+        r.f64(&header->sys_seconds) && r.u64(&rss))) {
+    return false;
+  }
+  header->max_rss_kb = static_cast<std::int64_t>(rss);
+  inner->assign(payload, r.position(), std::string::npos);
   return true;
 }
 
 std::string encodePoolRequest(std::uint64_t id, std::uint32_t attempt,
                               support::ChaosAction chaos,
                               const std::string& spec) {
-  std::string out;
-  const std::uint8_t action = static_cast<std::uint8_t>(chaos);
-  out.reserve(sizeof id + sizeof attempt + sizeof action + spec.size());
-  appendRaw(out, &id, sizeof id);
-  appendRaw(out, &attempt, sizeof attempt);
-  appendRaw(out, &action, sizeof action);
-  out += spec;
-  return out;
+  ByteWriter w;
+  w.u64(id);
+  w.u32(attempt);
+  w.u8(static_cast<std::uint8_t>(chaos));
+  return w.take() + spec;
 }
 
 bool decodePoolRequest(const std::string& payload, std::uint64_t* id,
                        std::uint32_t* attempt, support::ChaosAction* chaos,
                        std::string* spec) {
-  constexpr std::size_t kPrefix = 8 + 4 + 1;
-  if (payload.size() < kPrefix) return false;
-  std::memcpy(id, payload.data(), 8);
-  std::memcpy(attempt, payload.data() + 8, 4);
+  ByteReader r(payload);
   std::uint8_t action = 0;
-  std::memcpy(&action, payload.data() + 12, 1);
-  if (action > static_cast<std::uint8_t>(support::ChaosAction::kExit)) {
+  if (!(r.u64(id) && r.u32(attempt) && r.u8(&action)) ||
+      action > static_cast<std::uint8_t>(support::ChaosAction::kExit)) {
     return false;
   }
   *chaos = static_cast<support::ChaosAction>(action);
-  spec->assign(payload, kPrefix, payload.size() - kPrefix);
+  spec->assign(payload, r.position(), std::string::npos);
   return true;
 }
 
@@ -248,29 +97,11 @@ double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
   return options.backoff_base_seconds * factor * (1.0 + rng.nextDouble());
 }
 
-bool shouldRetry(const SupervisorOptions& options, CellStatus status,
-                 std::uint32_t attempt, bool stopping) {
-  return !stopping && isTransportFailure(status) && attempt <= options.retries;
-}
-
 #if SPT_SUPERVISOR_POSIX
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool writeAll(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 /// ru_maxrss is KB on Linux but **bytes** on macOS; WorkerDiagnostics
 /// promises KB, so normalize here.
@@ -320,7 +151,7 @@ std::string chaosGarbage(std::uint64_t id) {
       for (;;) ::pause();
     case support::ChaosAction::kGarbage: {
       const std::string garbage = chaosGarbage(id);
-      writeAll(fd, garbage.data(), garbage.size());
+      wire::writeAllFd(fd, garbage.data(), garbage.size());
       ::close(fd);
       ::_exit(0);
     }
@@ -328,7 +159,7 @@ std::string chaosGarbage(std::uint64_t id) {
       const std::string frame = encodeSupervisorFrame(
           kFrameKindReply,
           encodePoolReply({id, 0.0, 0.0, 0}, "chaos-partial-payload"));
-      writeAll(fd, frame.data(), frame.size() / 2);
+      wire::writeAllFd(fd, frame.data(), frame.size() / 2);
       ::close(fd);
       ::_exit(0);
     }
@@ -459,18 +290,12 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
     header.max_rss_kb = maxRssKb(after);
     const std::string frame =
         encodeSupervisorFrame(kind, encodePoolReply(header, inner));
-    if (!writeAll(reply_fd, frame.data(), frame.size())) ::_exit(1);
+    if (!wire::writeAllFd(reply_fd, frame.data(), frame.size())) ::_exit(1);
   }
   ::_exit(0);
 }
 
-struct PendingCell {
-  std::size_t cell = 0;
-  std::uint32_t attempt = 1;
-  Clock::time_point not_before;
-};
-
-/// One long-lived pool member. `busy` workers own an in-flight job and
+/// One long-lived pool member. `busy` workers own an in-flight cell and
 /// are polled; idle workers sit out of the poll set (a dead idle worker
 /// surfaces as a failed request write at the next dispatch).
 struct PoolWorker {
@@ -478,11 +303,35 @@ struct PoolWorker {
   int request_fd = -1;  // parent writes request frames here
   int reply_fd = -1;    // parent reads the worker's reply stream here
   bool busy = false;
-  std::uint64_t id = 0;  // the in-flight job's token
+  std::uint64_t owner = 0;  // the in-flight cell's owner and index
+  std::size_t cell = 0;
   std::uint32_t attempt = 1;
   bool has_deadline = false;
   Clock::time_point deadline;
   std::string buf;  // reply stream accumulator
+
+  /// The job token echoed by the worker's reply (and seeding its chaos
+  /// garbage): the cell index in the low word, the owner in the high one,
+  /// so a batch's (owner 0) tokens are its cell indices.
+  std::uint64_t id() const {
+    return owner << 32 | static_cast<std::uint64_t>(cell);
+  }
+};
+
+/// One finished attempt — a reply, a death, or a watchdog timeout — with
+/// the transport classification applied; retrying is decided after.
+struct Settled {
+  std::uint64_t owner = 0;
+  std::size_t cell = 0;
+  std::uint32_t attempt = 1;
+  Supervisor::Outcome outcome;
+};
+
+/// A queued attempt of one owner's cell.
+struct Queued {
+  std::size_t cell = 0;
+  std::uint32_t attempt = 1;
+  Clock::time_point not_before;
 };
 
 int signalOf(int wait_status) {
@@ -501,6 +350,17 @@ Clock::time_point deadlineFrom(Clock::time_point now, double seconds) {
                    std::chrono::duration<double>(seconds));
 }
 
+/// A transport failure on `attempt` earns another attempt while retries
+/// remain, unless the pool is stopping (interrupt or drain).
+bool shouldRetry(const SupervisorOptions& options, CellStatus status,
+                 std::uint32_t attempt, bool stopping) {
+  return !stopping && isTransportFailure(status) && attempt <= options.retries;
+}
+
+/// The longest the loop blocks in one pass, so stop flags and caller
+/// deadlines are seen promptly.
+constexpr std::chrono::milliseconds kMaxWait{200};
+
 /// Diagnostic for cells cancelled by SupervisorOptions::stop. Settled as
 /// kInternalError (never retried, re-run by --resume) with attempts == 0,
 /// so no worker block appears in JSON for a cell that never ran one.
@@ -512,32 +372,39 @@ constexpr const char* kInterruptedDiagnostic =
 
 bool Supervisor::isolationSupported() { return true; }
 
-// ---- WorkerPool: parent-side pool management -----------------------------
+// ---- WorkerPool ------------------------------------------------------------
 //
-// The containment machinery — spawn/respawn, dispatch writes, reply-stream
-// framing, death classification, watchdog — lives here so the sweep
-// service can drive the same pool from its own event loop.
-// Supervisor::run (below) is a thin retry/aggregation layer on top, which
-// keeps the two paths byte-identical by construction.
+// Containment (spawn/respawn, dispatch writes, reply-stream framing, death
+// classification, watchdog) and scheduling (owner queues, round robin,
+// retries, cancellation, the bounded wait) both live here, so the batch
+// path and the sweep service run cells through one loop and stay
+// byte-identical by construction.
 
 struct WorkerPool::Impl {
+  struct OwnerState {
+    Owner owner;
+    std::deque<Queued> ready;     // due now, dispatched front first
+    std::vector<Queued> waiting;  // retries still backing off
+    std::size_t running = 0;
+    std::uint64_t dispatched = 0;
+  };
+
   SupervisorOptions options;
   WorkerPool::Producer produce;
-  std::function<bool()> respawn_policy;
   std::function<void()> child_setup;
+  std::size_t target = 0;  // workers the pool keeps alive
   std::vector<PoolWorker> workers;
+  std::map<std::uint64_t, OwnerState> owners;
+  std::uint64_t last_rr = 0;  // round-robin cursor (owner id)
   std::size_t spawned = 0;
   std::size_t respawned = 0;
   // errno from the most recent failed pipe()/fork() in spawnWorker,
-  // captured at the failure site: by the time the caller settles cells as
+  // captured at the failure site: by the time queued cells settle as
   // unspawnable, intervening close()/kill()/wait4() calls have clobbered
   // the global errno.
   int last_spawn_errno = 0;
+  bool stopped = false;
   bool shut_down = false;
-
-  bool wantRespawn() const {
-    return !shut_down && (!respawn_policy || respawn_policy());
-  }
 
   bool spawnWorker() {
     int request[2];
@@ -570,16 +437,12 @@ struct WorkerPool::Impl {
         if (other.request_fd >= 0) ::close(other.request_fd);
         if (other.reply_fd >= 0) ::close(other.reply_fd);
       }
-      // Caller-owned fds (a service's listening socket and client
-      // connections) are closed here, so a worker never holds a client's
-      // connection open past the parent's close().
       if (child_setup) child_setup();
       runPoolWorker(request[0], reply[1], options, produce);
     }
     ::close(request[0]);
     ::close(reply[1]);
-    const int flags = ::fcntl(reply[0], F_GETFL, 0);
-    ::fcntl(reply[0], F_SETFL, flags | O_NONBLOCK);
+    wire::setNonBlocking(reply[0], true);
     PoolWorker w;
     w.pid = pid;
     w.request_fd = request[1];
@@ -589,14 +452,22 @@ struct WorkerPool::Impl {
     return true;
   }
 
+  /// Replaces dead workers while the pool is not stopping; a failed spawn
+  /// is retried on the next pass.
+  void topUp() {
+    while (!stopped && !shut_down && workers.size() < target) {
+      if (!spawnWorker()) return;
+      ++respawned;
+    }
+  }
+
   // Removes worker `wi` from the pool, reaps it, classifies the in-flight
-  // attempt (if any) into `out`, and respawns a replacement while the
-  // respawn policy allows. `corrupt_reason` is non-empty when the parent
-  // detected a garbled reply stream (the worker was killed, or died right
-  // after garbling).
+  // attempt (if any) into `out`, and tops the pool back up.
+  // `corrupt_reason` is non-empty when the parent detected a garbled reply
+  // stream (the worker was killed, or died right after garbling).
   void workerDied(std::size_t wi, bool timed_out,
                   const std::string& corrupt_reason,
-                  std::vector<WorkerPool::Settled>& out) {
+                  std::vector<Settled>& out) {
     PoolWorker w = std::move(workers[wi]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(wi));
     rusage ru{};
@@ -635,7 +506,7 @@ struct WorkerPool::Impl {
             (sig == 0 ? " (exit code " + std::to_string(oc.worker.exit_code) +
                             ")"
                       : "");
-        if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
+        if (!w.buf.empty()) oc.worker.partial_reply = wire::hexDump(w.buf, 64);
       } else if (sig != 0) {
         oc.worker.term_signal = sig;
         if (sig == SIGXCPU) {
@@ -652,7 +523,7 @@ struct WorkerPool::Impl {
                           " after " + std::to_string(w.buf.size()) +
                           " reply bytes";
         }
-        if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
+        if (!w.buf.empty()) oc.worker.partial_reply = wire::hexDump(w.buf, 64);
       } else {
         // Exited without completing a reply: decode what arrived for the
         // specific reason ("empty reply", "short reply", ...).
@@ -663,18 +534,18 @@ struct WorkerPool::Impl {
         oc.diagnostic = "worker reply failed frame validation: " + why +
                         " (exit code " +
                         std::to_string(oc.worker.exit_code) + ")";
-        if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
+        if (!w.buf.empty()) oc.worker.partial_reply = wire::hexDump(w.buf, 64);
       }
-      out.push_back({w.id, w.attempt, std::move(oc)});
+      out.push_back({w.owner, w.cell, w.attempt, std::move(oc)});
     }
 
     // Respawn only the dead worker; the rest of the pool keeps draining.
-    if (wantRespawn() && spawnWorker()) ++respawned;
+    topUp();
   }
 
   // Consumes completed frames from worker `wi`'s reply stream. Returns
   // false (after containment) if the worker had to be killed.
-  bool drainReplies(std::size_t wi, std::vector<WorkerPool::Settled>& out) {
+  bool drainReplies(std::size_t wi, std::vector<Settled>& out) {
     PoolWorker& w = workers[wi];
     for (;;) {
       std::size_t frame_bytes = 0;
@@ -696,13 +567,13 @@ struct WorkerPool::Impl {
       std::string inner;
       const bool tagged = kind != kFrameKindRequest &&
                           decodePoolReply(payload, &header, &inner);
-      if (!w.busy || !tagged || header.id != w.id) {
+      if (!w.busy || !tagged || header.id != w.id()) {
         ::kill(w.pid, SIGKILL);
         workerDied(wi, /*timed_out=*/false,
                    !w.busy   ? "unsolicited reply from an idle worker"
                    : !tagged ? "reply frame is not a tagged reply"
                              : "reply answers job " + std::to_string(header.id) +
-                                   " but job " + std::to_string(w.id) +
+                                   " but job " + std::to_string(w.id()) +
                                    " was dispatched",
                    out);
         return false;
@@ -721,176 +592,321 @@ struct WorkerPool::Impl {
         oc.status = CellStatus::kInternalError;
         oc.diagnostic = "worker error: " + inner;
       }
-      const std::uint64_t id = w.id;
-      const std::uint32_t attempt = w.attempt;
       w.busy = false;
       w.has_deadline = false;
-      out.push_back({id, attempt, std::move(oc)});
+      out.push_back({w.owner, w.cell, w.attempt, std::move(oc)});
+    }
+  }
+
+  /// Writes one request frame to an idle worker. A dead request pipe
+  /// replaces that worker and tries the next idle one; false means no
+  /// idle worker could take the cell — it was not sent and no attempt
+  /// was burned.
+  bool dispatch(std::uint64_t owner, const Queued& q,
+                support::ChaosAction chaos, const std::string& spec) {
+    for (;;) {
+      const auto it = std::find_if(workers.begin(), workers.end(),
+                                   [](const PoolWorker& w) { return !w.busy; });
+      if (it == workers.end()) return false;
+      PoolWorker& w = *it;
+      w.owner = owner;
+      w.cell = q.cell;
+      const std::string frame = encodeSupervisorFrame(
+          kFrameKindRequest, encodePoolRequest(w.id(), q.attempt, chaos, spec));
+      if (!wire::writeAllFd(w.request_fd, frame.data(), frame.size())) {
+        ::kill(w.pid, SIGKILL);
+        std::vector<Settled> none;  // an idle worker settles nothing
+        workerDied(static_cast<std::size_t>(it - workers.begin()),
+                   /*timed_out=*/false, "", none);
+        continue;
+      }
+      w.busy = true;
+      w.attempt = q.attempt;
+      w.buf.clear();
+      w.has_deadline = options.cell_timeout_seconds > 0.0;
+      if (w.has_deadline) {
+        w.deadline = deadlineFrom(Clock::now(), options.cell_timeout_seconds);
+      }
+      return true;
+    }
+  }
+
+  bool anyIdle() const {
+    return std::any_of(workers.begin(), workers.end(),
+                       [](const PoolWorker& w) { return !w.busy; });
+  }
+
+  /// Fair dispatch: rotate over owners from the cursor, taking at most one
+  /// due cell per owner per rotation, while idle workers last.
+  void dispatchDue(Clock::time_point now) {
+    bool progress = true;
+    while (progress && !stopped && anyIdle()) {
+      progress = false;
+      auto it = owners.upper_bound(last_rr);
+      for (std::size_t n = 0; n < owners.size() && anyIdle(); ++n) {
+        if (it == owners.end()) it = owners.begin();
+        const std::uint64_t id = it->first;
+        OwnerState& o = it->second;
+        ++it;
+        for (auto w = o.waiting.begin(); w != o.waiting.end();) {
+          if (w->not_before <= now) {
+            // A retry already waited its backoff; it goes to the front
+            // rather than behind the owner's whole remaining grid.
+            o.ready.push_front(*w);
+            w = o.waiting.erase(w);
+          } else {
+            ++w;
+          }
+        }
+        if (o.ready.empty()) continue;
+        const Queued q = o.ready.front();
+        if (!dispatch(id, q, o.owner.chaos.actionFor(q.cell, q.attempt),
+                      o.owner.spec(q.cell))) {
+          return;  // no idle worker could take the cell
+        }
+        o.ready.pop_front();
+        ++o.running;
+        ++o.dispatched;
+        last_rr = id;
+        progress = true;
+      }
+    }
+  }
+
+  /// Removes the owner's queued attempts, in index order.
+  static std::vector<Queued> take(OwnerState& o) {
+    std::vector<Queued> cells(o.ready.begin(), o.ready.end());
+    cells.insert(cells.end(), o.waiting.begin(), o.waiting.end());
+    o.ready.clear();
+    o.waiting.clear();
+    std::sort(cells.begin(), cells.end(),
+              [](const Queued& a, const Queued& b) { return a.cell < b.cell; });
+    return cells;
+  }
+
+  /// Hands a final outcome to its owner, if still registered. The hook
+  /// may add or remove owners, so it runs on a copy.
+  void settle(std::uint64_t owner, std::size_t cell,
+              Supervisor::Outcome outcome) {
+    const auto it = owners.find(owner);
+    if (it == owners.end()) return;
+    const auto hook = it->second.owner.settle;
+    hook(cell, std::move(outcome));
+  }
+
+  /// The pool could not be (re)built: fail every queued cell rather than
+  /// leave it waiting for a worker that never comes.
+  void failQueued() {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, o] : owners) ids.push_back(id);
+    for (const std::uint64_t id : ids) {
+      const auto it = owners.find(id);
+      if (it == owners.end()) continue;
+      for (const Queued& q : take(it->second)) {
+        Supervisor::Outcome oc;
+        oc.status = CellStatus::kCrashed;
+        oc.worker.attempts = q.attempt;
+        oc.diagnostic = std::string("worker pool spawn failed: ") +
+                        std::strerror(last_spawn_errno);
+        settle(id, q.cell, std::move(oc));
+      }
+    }
+  }
+
+  /// Blocks in poll() on busy workers' reply pipes plus the caller's fds
+  /// until the nearest deadline, retry, or `wake` — never past kMaxWait.
+  void wait(std::vector<pollfd>* extra, Clock::time_point wake) {
+    const Clock::time_point now = Clock::now();
+    Clock::time_point until = std::min(wake, now + kMaxWait);
+    for (const PoolWorker& w : workers) {
+      if (w.busy && w.has_deadline) until = std::min(until, w.deadline);
+    }
+    if (!stopped) {  // a stopped pool dispatches no retry
+      for (const auto& [id, o] : owners) {
+        for (const Queued& q : o.waiting) {
+          until = std::min(until, q.not_before);
+        }
+      }
+    }
+    const long long timeout_ms = std::max<long long>(
+        0, std::chrono::ceil<std::chrono::milliseconds>(until - now).count());
+
+    std::vector<pollfd> local;
+    std::vector<pollfd>& fds = extra != nullptr ? *extra : local;
+    const std::size_t caller_fds = fds.size();
+    for (pollfd& f : fds) f.revents = 0;
+    for (const PoolWorker& w : workers) {
+      if (w.busy) fds.push_back(pollfd{w.reply_fd, POLLIN, 0});
+    }
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                          static_cast<int>(timeout_ms));
+    const int poll_errno = errno;
+    fds.resize(caller_fds);
+    if (rc < 0) {
+      for (pollfd& f : fds) f.revents = 0;
+      if (poll_errno != EINTR && poll_errno != EAGAIN) {
+        throw support::SptInternalError(
+            std::string("worker pool poll() failed: ") +
+            std::strerror(poll_errno));
+      }
+    }
+  }
+
+  /// Drains every busy worker's reply stream (non-blocking) and runs the
+  /// watchdog; each finished attempt is appended to `settled`.
+  void service(std::vector<Settled>& settled) {
+    // Snapshot the busy workers by pid: containment inside the loop
+    // mutates the pool (and a respawn can reuse a just-closed fd number,
+    // so fds are not stable identifiers either).
+    std::vector<pid_t> busy_pids;
+    for (const PoolWorker& w : workers) {
+      if (w.busy) busy_pids.push_back(w.pid);
+    }
+    for (const pid_t pid : busy_pids) {
+      const auto it =
+          std::find_if(workers.begin(), workers.end(),
+                       [pid](const PoolWorker& w) { return w.pid == pid; });
+      if (it == workers.end()) continue;  // removed by a prior pass
+      const std::size_t wi = static_cast<std::size_t>(it - workers.begin());
+      PoolWorker& w = *it;
+      int r;
+      while ((r = wire::readSomeFd(w.reply_fd, &w.buf, 1 << 16)) > 0) {
+        if (w.buf.size() > wire::kMaxFramePayloadBytes +
+                               wire::kFrameHeaderBytes +
+                               wire::kFrameTrailerBytes) {
+          break;
+        }
+      }
+      if (r > 0) {
+        ::kill(w.pid, SIGKILL);
+        workerDied(wi, /*timed_out=*/false, "oversized reply", settled);
+        continue;
+      }
+      if (!drainReplies(wi, settled)) continue;  // worker replaced
+      if (r == 0) {
+        // EOF: the worker died (or exited on chaos) — any buffered
+        // partial frame is part of the post-mortem.
+        workerDied(wi, /*timed_out=*/false, "", settled);
+      }
+    }
+
+    // Watchdog: SIGKILL overdue busy workers; their cells settle as
+    // timeouts and the workers are replaced.
+    const Clock::time_point now = Clock::now();
+    for (std::size_t wi = 0; wi < workers.size();) {
+      PoolWorker& w = workers[wi];
+      if (w.busy && w.has_deadline && w.deadline <= now) {
+        ::kill(w.pid, SIGKILL);
+        workerDied(wi, /*timed_out=*/true, "", settled);
+      } else {
+        ++wi;
+      }
+    }
+  }
+
+  /// Settles each finished attempt with its owner, or queues its retry.
+  void collect() {
+    std::vector<Settled> settled;
+    service(settled);
+    for (Settled& s : settled) {
+      const auto it = owners.find(s.owner);
+      if (it == owners.end()) continue;  // owner gone: result dropped
+      OwnerState& o = it->second;
+      --o.running;
+      if (shouldRetry(options, s.outcome.status, s.attempt, stopped)) {
+        const double delay = backoffSeconds(options, s.cell, s.attempt + 1);
+        o.waiting.push_back(
+            {s.cell, s.attempt + 1, deadlineFrom(Clock::now(), delay)});
+        continue;
+      }
+      settle(s.owner, s.cell, std::move(s.outcome));
     }
   }
 };
 
-WorkerPool::WorkerPool(SupervisorOptions options, Producer produce)
+WorkerPool::WorkerPool(SupervisorOptions options, Producer produce,
+                       std::size_t workers, std::function<void()> child_setup)
     : impl_(std::make_unique<Impl>()) {
   impl_->options = std::move(options);
   impl_->produce = std::move(produce);
+  impl_->child_setup = std::move(child_setup);
+  impl_->target = workers;
+  while (impl_->workers.size() < workers && impl_->spawnWorker()) {
+  }
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
 
-void WorkerPool::setRespawnPolicy(std::function<bool()> policy) {
-  impl_->respawn_policy = std::move(policy);
+void WorkerPool::addOwner(std::uint64_t id, Owner owner) {
+  impl_->owners[id].owner = std::move(owner);
 }
 
-void WorkerPool::setChildSetup(std::function<void()> setup) {
-  impl_->child_setup = std::move(setup);
+void WorkerPool::removeOwner(std::uint64_t id) { impl_->owners.erase(id); }
+
+void WorkerPool::enqueue(std::uint64_t owner, std::size_t cell) {
+  impl_->owners.at(owner).ready.push_back({cell, 1, Clock::time_point{}});
 }
 
-bool WorkerPool::ensure(std::size_t workers) {
-  while (impl_->workers.size() < workers) {
-    if (!impl_->spawnWorker()) return false;
+std::vector<std::size_t> WorkerPool::cancel(std::uint64_t owner) {
+  std::vector<std::size_t> cells;
+  const auto it = impl_->owners.find(owner);
+  if (it == impl_->owners.end()) return cells;
+  for (const Queued& q : Impl::take(it->second)) cells.push_back(q.cell);
+  return cells;
+}
+
+void WorkerPool::stop() { impl_->stopped = true; }
+
+void WorkerPool::step(std::vector<pollfd>* extra,
+                      std::chrono::steady_clock::time_point wake) {
+  Impl& p = *impl_;
+  p.topUp();
+  if (p.workers.empty() && !p.stopped) p.failQueued();
+  p.dispatchDue(Clock::now());
+  p.wait(extra, wake);
+  p.collect();
+}
+
+std::size_t WorkerPool::queued() const {
+  std::size_t n = 0;
+  for (const auto& [id, o] : impl_->owners) {
+    n += o.ready.size() + o.waiting.size();
   }
-  return true;
+  return n;
+}
+
+std::size_t WorkerPool::queued(std::uint64_t owner) const {
+  const auto it = impl_->owners.find(owner);
+  return it == impl_->owners.end()
+             ? 0
+             : it->second.ready.size() + it->second.waiting.size();
+}
+
+std::size_t WorkerPool::running(std::uint64_t owner) const {
+  const auto it = impl_->owners.find(owner);
+  return it == impl_->owners.end() ? 0 : it->second.running;
+}
+
+std::uint64_t WorkerPool::dispatched(std::uint64_t owner) const {
+  const auto it = impl_->owners.find(owner);
+  return it == impl_->owners.end() ? 0 : it->second.dispatched;
 }
 
 std::size_t WorkerPool::workerCount() const { return impl_->workers.size(); }
 
 std::size_t WorkerPool::idleWorkers() const {
-  std::size_t idle = 0;
-  for (const PoolWorker& w : impl_->workers) {
-    if (!w.busy) ++idle;
-  }
-  return idle;
+  return workerCount() - busyWorkers();
 }
 
 std::size_t WorkerPool::busyWorkers() const {
-  return impl_->workers.size() - idleWorkers();
+  return static_cast<std::size_t>(
+      std::count_if(impl_->workers.begin(), impl_->workers.end(),
+                    [](const PoolWorker& w) { return w.busy; }));
 }
 
 std::size_t WorkerPool::workersSpawned() const { return impl_->spawned; }
 
 std::size_t WorkerPool::workersRespawned() const { return impl_->respawned; }
-
-int WorkerPool::lastSpawnErrno() const { return impl_->last_spawn_errno; }
-
-bool WorkerPool::dispatch(const Job& job) {
-  for (;;) {
-    std::size_t wi = impl_->workers.size();
-    for (std::size_t j = 0; j < impl_->workers.size(); ++j) {
-      if (!impl_->workers[j].busy) {
-        wi = j;
-        break;
-      }
-    }
-    if (wi == impl_->workers.size()) return false;  // no idle worker
-    PoolWorker& w = impl_->workers[wi];
-    const std::string frame = encodeSupervisorFrame(
-        kFrameKindRequest,
-        encodePoolRequest(job.id, job.attempt, job.chaos, job.spec));
-    if (!writeAll(w.request_fd, frame.data(), frame.size())) {
-      // Dead request pipe: the worker never saw the job (no attempt
-      // burned). Replace it and try the next idle worker — possibly the
-      // replacement itself.
-      ::kill(w.pid, SIGKILL);
-      std::vector<Settled> none;  // an idle worker settles nothing
-      impl_->workerDied(wi, /*timed_out=*/false, "", none);
-      continue;
-    }
-    w.busy = true;
-    w.id = job.id;
-    w.attempt = job.attempt;
-    w.buf.clear();
-    if (impl_->options.cell_timeout_seconds > 0.0) {
-      w.has_deadline = true;
-      w.deadline =
-          deadlineFrom(Clock::now(), impl_->options.cell_timeout_seconds);
-    } else {
-      w.has_deadline = false;
-    }
-    return true;
-  }
-}
-
-std::vector<int> WorkerPool::busyReplyFds() const {
-  std::vector<int> fds;
-  for (const PoolWorker& w : impl_->workers) {
-    if (w.busy) fds.push_back(w.reply_fd);
-  }
-  return fds;
-}
-
-bool WorkerPool::nextDeadline(std::chrono::steady_clock::time_point* out) const {
-  bool any = false;
-  for (const PoolWorker& w : impl_->workers) {
-    if (!w.busy || !w.has_deadline) continue;
-    if (!any || w.deadline < *out) *out = w.deadline;
-    any = true;
-  }
-  return any;
-}
-
-void WorkerPool::service(std::vector<Settled>& settled) {
-  // Snapshot the busy workers by pid: containment inside the loop mutates
-  // the pool (and a respawn can reuse a just-closed fd number, so fds are
-  // not stable identifiers either).
-  std::vector<pid_t> busy_pids;
-  for (const PoolWorker& w : impl_->workers) {
-    if (w.busy) busy_pids.push_back(w.pid);
-  }
-  for (const pid_t pid : busy_pids) {
-    std::size_t wi = impl_->workers.size();
-    for (std::size_t j = 0; j < impl_->workers.size(); ++j) {
-      if (impl_->workers[j].pid == pid) {
-        wi = j;
-        break;
-      }
-    }
-    if (wi == impl_->workers.size()) continue;  // removed by a prior pass
-    PoolWorker& w = impl_->workers[wi];
-    bool saw_eof = false;
-    char chunk[65536];
-    for (;;) {
-      const ssize_t r = ::read(w.reply_fd, chunk, sizeof chunk);
-      if (r > 0) {
-        w.buf.append(chunk, static_cast<std::size_t>(r));
-        if (w.buf.size() > kMaxPayloadBytes + kFrameHeaderBytes + 8) {
-          ::kill(w.pid, SIGKILL);
-          impl_->workerDied(wi, /*timed_out=*/false, "oversized reply",
-                            settled);
-          wi = impl_->workers.size();
-          break;
-        }
-        continue;
-      }
-      if (r == 0) {
-        saw_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: drained for now
-    }
-    if (wi == impl_->workers.size()) continue;  // contained above
-    if (!impl_->drainReplies(wi, settled)) continue;  // worker replaced
-    if (saw_eof) {
-      // The worker died (or exited on chaos) — any buffered partial
-      // frame is part of the post-mortem.
-      impl_->workerDied(wi, /*timed_out=*/false, "", settled);
-    }
-  }
-
-  // Watchdog: SIGKILL overdue busy workers; their cells settle as
-  // timeouts and the workers are replaced.
-  const Clock::time_point now = Clock::now();
-  for (std::size_t wi = 0; wi < impl_->workers.size();) {
-    PoolWorker& w = impl_->workers[wi];
-    if (w.busy && w.has_deadline && w.deadline <= now) {
-      ::kill(w.pid, SIGKILL);
-      impl_->workerDied(wi, /*timed_out=*/true, "", settled);
-    } else {
-      ++wi;
-    }
-  }
-}
 
 void WorkerPool::shutdown() {
   if (impl_ == nullptr || impl_->shut_down) return;
@@ -920,142 +936,39 @@ std::vector<Supervisor::Outcome> Supervisor::run(
   if (n == 0) return out;  // e.g. a fully resumed sweep: fork nothing
   ScopedIgnoreSigpipe sigpipe_guard;
 
-  std::deque<PendingCell> pending;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
+  // Each cell's spec is its index in decimal; the worker parses it back
+  // and runs the batch's producer.
+  WorkerPool pool(
+      options_,
+      [&produce](const std::string& spec) {
+        return produce(static_cast<std::size_t>(std::stoull(spec)));
+      },
+      std::min(options_.jobs, n));
   std::size_t settled = 0;
-  bool interrupted = false;
-  const auto stopRequested = [&] {
-    return options_.stop != nullptr && *options_.stop != 0;
-  };
-
   const auto settle = [&](std::size_t cell, Outcome outcome) {
     out[cell] = std::move(outcome);
     ++settled;
     if (on_settled) on_settled(cell, out[cell]);
   };
+  pool.addOwner(0, {[](std::size_t cell) { return std::to_string(cell); },
+                    options_.chaos, settle});
+  for (std::size_t i = 0; i < n; ++i) pool.enqueue(0, i);
 
-  // Settles the attempt's outcome or queues the retry.
-  const auto finishAttempt = [&](std::size_t cell, std::uint32_t attempt,
-                                 Outcome oc) {
-    if (shouldRetry(options_, oc.status, attempt, interrupted)) {
-      const double delay = backoffSeconds(options_, cell, attempt + 1);
-      pending.push_back(
-          {cell, attempt + 1, deadlineFrom(Clock::now(), delay)});
-    } else {
-      settle(cell, std::move(oc));
-    }
-  };
-
-  // Each job's spec is its cell index in decimal; the worker parses it
-  // back and runs the batch's producer.
-  WorkerPool pool(options_, [&produce](const std::string& spec) {
-    return produce(static_cast<std::size_t>(std::stoull(spec)));
-  });
-  pool.setRespawnPolicy([&] { return settled < n && !interrupted; });
-  pool.ensure(std::min(options_.jobs, n));
-
-  std::vector<WorkerPool::Settled> batch;
+  bool interrupted = false;
   while (settled < n) {
-    if (!interrupted && stopRequested()) {
+    if (!interrupted && options_.stop != nullptr && *options_.stop != 0) {
       // Graceful interrupt: cancel the queue, drain the in-flight cells.
       interrupted = true;
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
+      pool.stop();
+      for (const std::size_t cell : pool.cancel(0)) {
         Outcome oc;
         oc.status = CellStatus::kInternalError;
         oc.diagnostic = kInterruptedDiagnostic;
-        settle(p.cell, std::move(oc));
+        settle(cell, std::move(oc));
       }
-    }
-    Clock::time_point now = Clock::now();
-
-    // Dispatch due pending cells to idle workers.
-    while (!pending.empty() && pool.idleWorkers() > 0) {
-      std::size_t pi = pending.size();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].not_before <= now) {
-          pi = i;
-          break;
-        }
-      }
-      if (pi == pending.size()) break;  // nothing due yet
-      const PendingCell p = pending[pi];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pi));
-      WorkerPool::Job job;
-      job.id = static_cast<std::uint64_t>(p.cell);
-      job.attempt = p.attempt;
-      job.chaos = options_.chaos.actionFor(p.cell, p.attempt);
-      job.spec = std::to_string(p.cell);
-      if (!pool.dispatch(job)) {
-        // No idle worker survived the write; the cell was never sent and
-        // goes back to the front of the queue.
-        pending.push_front(p);
-        break;
-      }
-    }
-
-    if (pool.workerCount() == 0) {
-      // The pool could not be (re)built; fail the remaining cells rather
-      // than spin forever.
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
-        Outcome oc;
-        oc.status = CellStatus::kCrashed;
-        oc.worker.attempts = p.attempt;
-        oc.diagnostic = std::string("worker pool spawn failed: ") +
-                        std::strerror(pool.lastSpawnErrno());
-        settle(p.cell, std::move(oc));
-      }
-      break;
-    }
-
-    if (pool.busyWorkers() == 0) {
-      if (pending.empty()) {
-        if (settled < n) continue;  // dispatch loop will make progress
-        break;
-      }
-      Clock::time_point wake = pending.front().not_before;
-      for (const PendingCell& p : pending) wake = std::min(wake, p.not_before);
-      std::this_thread::sleep_until(wake);
       continue;
     }
-
-    long long timeout_ms = -1;
-    const auto consider = [&](Clock::time_point t) {
-      const long long ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-              .count();
-      const long long clamped = ms < 0 ? 0 : ms + 1;
-      if (timeout_ms < 0 || clamped < timeout_ms) timeout_ms = clamped;
-    };
-    Clock::time_point pool_deadline;
-    if (pool.nextDeadline(&pool_deadline)) consider(pool_deadline);
-    for (const PendingCell& p : pending) consider(p.not_before);
-
-    const std::vector<int> reply_fds = pool.busyReplyFds();
-    std::vector<pollfd> fds(reply_fds.size());
-    for (std::size_t i = 0; i < reply_fds.size(); ++i) {
-      fds[i] = pollfd{reply_fds[i], POLLIN, 0};
-    }
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               timeout_ms < 0 ? -1 : static_cast<int>(
-                                         std::min<long long>(timeout_ms,
-                                                             60'000)));
-    if (rc < 0 && errno != EINTR) {
-      throw support::SptInternalError(
-          std::string("supervisor poll() failed: ") + std::strerror(errno));
-    }
-
-    batch.clear();
-    pool.service(batch);
-    for (WorkerPool::Settled& s : batch) {
-      finishAttempt(static_cast<std::size_t>(s.id), s.attempt,
-                    std::move(s.outcome));
-    }
+    pool.step();
   }
 
   pool.shutdown();
@@ -1081,28 +994,30 @@ std::vector<Supervisor::Outcome> Supervisor::run(std::size_t,
 
 struct WorkerPool::Impl {};
 
-WorkerPool::WorkerPool(SupervisorOptions, Producer) {
+WorkerPool::WorkerPool(SupervisorOptions, Producer, std::size_t,
+                       std::function<void()>) {
   throw support::SptInternalError(
       "the warm worker pool is not supported on this platform (no fork)");
 }
 
 WorkerPool::~WorkerPool() = default;
 
-void WorkerPool::setRespawnPolicy(std::function<bool()>) {}
-void WorkerPool::setChildSetup(std::function<void()>) {}
-bool WorkerPool::ensure(std::size_t) { return false; }
+void WorkerPool::addOwner(std::uint64_t, Owner) {}
+void WorkerPool::removeOwner(std::uint64_t) {}
+void WorkerPool::enqueue(std::uint64_t, std::size_t) {}
+std::vector<std::size_t> WorkerPool::cancel(std::uint64_t) { return {}; }
+void WorkerPool::stop() {}
+void WorkerPool::step(std::vector<pollfd>*,
+                      std::chrono::steady_clock::time_point) {}
+std::size_t WorkerPool::queued() const { return 0; }
+std::size_t WorkerPool::queued(std::uint64_t) const { return 0; }
+std::size_t WorkerPool::running(std::uint64_t) const { return 0; }
+std::uint64_t WorkerPool::dispatched(std::uint64_t) const { return 0; }
 std::size_t WorkerPool::workerCount() const { return 0; }
 std::size_t WorkerPool::idleWorkers() const { return 0; }
 std::size_t WorkerPool::busyWorkers() const { return 0; }
 std::size_t WorkerPool::workersSpawned() const { return 0; }
 std::size_t WorkerPool::workersRespawned() const { return 0; }
-int WorkerPool::lastSpawnErrno() const { return 0; }
-bool WorkerPool::dispatch(const Job&) { return false; }
-std::vector<int> WorkerPool::busyReplyFds() const { return {}; }
-bool WorkerPool::nextDeadline(std::chrono::steady_clock::time_point*) const {
-  return false;
-}
-void WorkerPool::service(std::vector<Settled>&) {}
 void WorkerPool::shutdown() {}
 
 #endif  // SPT_SUPERVISOR_POSIX

@@ -37,8 +37,8 @@
 //    the action to the worker.
 //
 // On platforms without fork() the supervisor reports
-// isolationSupported() == false and callers degrade to the existing
-// in-process path (also selectable with --no-isolate).
+// isolationSupported() == false and callers degrade to the in-process
+// path (the default without --isolate).
 #pragma once
 
 #include <chrono>
@@ -51,10 +51,13 @@
 
 #include "harness/cell_status.h"
 #include "support/chaos.h"
+#include "support/wire.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #include <signal.h>
 #endif
+
+struct pollfd;
 
 namespace spt::harness {
 
@@ -87,7 +90,8 @@ struct SupervisorOptions {
   /// Deterministic sabotage for testing the containment paths.
   support::ChaosPlan chaos;
   /// Cooperative graceful-interrupt flag, set from a SIGINT/SIGTERM
-  /// handler. When non-null and nonzero the supervisor stops dispatching:
+  /// handler, checked at least every 200 ms — also while retries back
+  /// off. When non-null and nonzero the supervisor stops dispatching:
   /// in-flight workers finish (and checkpoint) normally, every
   /// undispatched cell settles as kInternalError with an "interrupted"
   /// diagnostic, and run() returns — so an operator ^C never tears a
@@ -100,12 +104,6 @@ struct SupervisorOptions {
 /// backoffSeconds(options, cell, 2); attempt 1 needs none).
 double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
                       std::uint32_t attempt);
-
-/// The retry policy shared by Supervisor::run and the sweep service: a
-/// transport failure on `attempt` earns another attempt while retries
-/// remain, unless the caller is stopping (interrupt or drain).
-bool shouldRetry(const SupervisorOptions& options, CellStatus status,
-                 std::uint32_t attempt, bool stopping);
 
 class Supervisor {
  public:
@@ -158,90 +156,90 @@ class Supervisor {
   SupervisorOptions options_;
 };
 
-/// Parent-side handle on the warm worker pool. Supervisor::run drives it
-/// for one batch; a long-lived event loop — the `sptc serve` sweep
-/// service — drives it itself. The pool owns worker processes, pipes,
-/// watchdog deadlines, death classification, and respawn; it deliberately
-/// does NOT own retry policy or result aggregation, which stay with the
-/// caller (both callers use shouldRetry and backoffSeconds, so the batch
-/// path and the service share one containment implementation and the
-/// byte-determinism tests cover both).
-///
-/// A job carries its work as opaque spec bytes handed to the worker's
-/// Producer; `id` is an opaque token echoed back on the reply. The chaos
-/// action is resolved by the caller per attempt and carried in the frame
-/// (a service worker never sees the request-local cell index a ChaosPlan
-/// is keyed by).
+/// The warm worker pool and the one dispatch loop over it. Supervisor::run
+/// drives it for one batch as a single owner; the `sptc serve` sweep
+/// service registers one owner per client. The pool owns everything both
+/// need: worker processes, pipes, watchdog deadlines, death
+/// classification and respawn, plus the queue of owners' cells
+/// `(owner, cell, attempt, not_before)`, round-robin dispatch, chaos
+/// resolution per attempt, the retry decision and backoff (shouldRetry,
+/// backoffSeconds), cancellation, and the bounded wait. Callers keep only
+/// what is theirs: result aggregation, sockets, admission, checkpoints.
 ///
 /// Only meaningful where Supervisor::isolationSupported(); construction
 /// throws elsewhere. Callers should hold a ScopedIgnoreSigpipe around
 /// dispatch, as Supervisor::run does.
 class WorkerPool {
  public:
-  struct Job {
-    std::uint64_t id = 0;
-    std::uint32_t attempt = 1;
-    /// Sabotage the worker performs for this job.
-    support::ChaosAction chaos = support::ChaosAction::kNone;
-    std::string spec;
-  };
-
-  /// One finished attempt — a reply, a death, or a watchdog timeout —
-  /// with the transport classification applied. Whether to retry is the
-  /// caller's decision.
-  struct Settled {
-    std::uint64_t id = 0;
-    std::uint32_t attempt = 1;
-    Supervisor::Outcome outcome;
-  };
-
   /// Runs in a pooled worker for each request: spec bytes in, serialized
   /// result out.
   using Producer = std::function<std::string(const std::string&)>;
 
-  WorkerPool(SupervisorOptions options, Producer produce);
+  /// One party whose cells share the pool. Cells are the owner's own
+  /// indices; the pool never interprets them.
+  struct Owner {
+    /// The spec bytes a worker's Producer receives for `cell`.
+    std::function<std::string(std::size_t)> spec;
+    /// Sabotage keyed by the owner's (cell, attempt); the pool resolves
+    /// it per attempt and the request frame carries the action.
+    support::ChaosPlan chaos;
+    /// Runs in the parent once per cell, after retries resolved, in
+    /// completion order. It may add or remove owners.
+    std::function<void(std::size_t, Supervisor::Outcome)> settle;
+  };
+
+  /// Forks `workers` processes (fewer if a spawn fails; the loop keeps
+  /// topping up). Of `options`, the pool reads the watchdog, retry,
+  /// backoff and rlimit knobs; chaos comes from each Owner and the stop
+  /// flag is the caller's. `child_setup` runs in each freshly forked
+  /// worker, after the pool closed sibling pipe ends and before the
+  /// request loop: a service closes its sockets there so workers never
+  /// hold them open.
+  WorkerPool(SupervisorOptions options, Producer produce, std::size_t workers,
+             std::function<void()> child_setup = nullptr);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Consulted when a worker dies: a replacement is forked only while the
-  /// policy returns true (default: always). Batch callers turn it off
-  /// once every cell settled; a draining service turns it off on SIGTERM.
-  void setRespawnPolicy(std::function<bool()> policy);
+  /// Registers owner `id`; the round robin visits owners in id order.
+  void addOwner(std::uint64_t id, Owner owner);
+  /// Forgets `id`: its queued cells are dropped and results of its
+  /// in-flight cells are discarded. Unknown ids are ignored.
+  void removeOwner(std::uint64_t id);
+  /// Queues `cell` of `owner` for its first attempt.
+  void enqueue(std::uint64_t owner, std::size_t cell);
+  /// Removes the owner's queued cells — fresh and backing off — and
+  /// returns them in index order for the caller to settle (interrupt,
+  /// drain, deadline). In-flight cells run on.
+  std::vector<std::size_t> cancel(std::uint64_t owner);
+  /// Interrupt or drain: no more dispatch, retries, or respawns. Queued
+  /// cells stay queued until cancelled.
+  void stop();
 
-  /// Runs in a freshly forked worker child (after the pool closed sibling
-  /// pipe ends, before the request loop): a service closes its listening
-  /// and client sockets here so workers never hold them open.
-  void setChildSetup(std::function<void()> setup);
+  /// One pass of the loop. Tops the pool back up — when it stays empty,
+  /// every queued cell settles as kCrashed — moves due retries to the
+  /// front of their owner's queue, and dispatches to idle workers taking
+  /// at most one cell per owner per rotation. Then waits for worker
+  /// replies and the caller's `extra` fds (their revents are filled in)
+  /// until the nearest watchdog deadline, retry, or `wake`, and at most
+  /// 200 ms, so a stop flag is seen promptly. Last, settles finished
+  /// attempts or queues their retries.
+  void step(std::vector<pollfd>* extra = nullptr,
+            std::chrono::steady_clock::time_point wake =
+                std::chrono::steady_clock::time_point::max());
 
-  /// Tops the pool up to `workers` processes; false if a spawn failed
-  /// (the pool keeps whatever it managed to fork).
-  bool ensure(std::size_t workers);
+  /// Queued cells (fresh and backing off), over all owners or one.
+  std::size_t queued() const;
+  std::size_t queued(std::uint64_t owner) const;
+  /// The owner's cells on workers now, and its dispatches so far.
+  std::size_t running(std::uint64_t owner) const;
+  std::uint64_t dispatched(std::uint64_t owner) const;
 
   std::size_t workerCount() const;
   std::size_t idleWorkers() const;
   std::size_t busyWorkers() const;
   std::size_t workersSpawned() const;
   std::size_t workersRespawned() const;
-  /// errno of the most recent failed pipe()/fork() inside a spawn.
-  int lastSpawnErrno() const;
-
-  /// Writes the job's request frame to an idle worker. A dead request
-  /// pipe replaces that worker and tries the next idle one; false means
-  /// no idle worker could take the job (none existed, or every candidate
-  /// died and respawn is off/failing) — the job was not sent and no
-  /// attempt was burned.
-  bool dispatch(const Job& job);
-
-  /// Reply fds of busy workers, for the caller's poll set. Idle workers
-  /// have no fd here — a dead idle worker surfaces at the next dispatch.
-  std::vector<int> busyReplyFds() const;
-  /// Nearest watchdog deadline among busy workers; false when none.
-  bool nextDeadline(std::chrono::steady_clock::time_point* out) const;
-
-  /// Drains every busy worker's reply stream (non-blocking) and runs the
-  /// watchdog; each finished attempt is appended to `settled`.
-  void service(std::vector<Settled>& settled);
 
   /// EOFs the request pipes (idle workers _exit(0) on their own) and
   /// reaps every worker. Idempotent; the destructor calls it.
@@ -280,8 +278,8 @@ class ScopedIgnoreSigpipe {
 
 // ---- SPTW frame protocol (exposed for tests and the worker side) ----------
 //
-// A frame is:
-//   magic "SPTW" | u32 version | u8 kind | u64 length | bytes
+// A frame is support::wire's discipline under magic "SPTW":
+//   magic | u32 version | u8 kind | u64 length | bytes
 //   | u64 FNV-1a(kind, length, bytes)
 //
 // There is one version with three kinds: the parent's request and the
@@ -295,27 +293,27 @@ inline constexpr std::uint8_t kFrameKindRequest = 0;  // parent -> worker
 inline constexpr std::uint8_t kFrameKindReply = 1;    // worker -> parent
 inline constexpr std::uint8_t kFrameKindError = 2;    // worker -> parent
 
-/// Encodes one frame.
-std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload);
-/// Decodes a complete frame; returns false (with a reason) on a short,
-/// corrupt, wrong-version, or unknown-kind frame.
-bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
-                           std::string* payload, std::string* error);
+inline constexpr support::wire::FrameFormat kSupervisorFrame = {
+    {'S', 'P', 'T', 'W'}, kSupervisorFrameVersion, kFrameKindError,
+    "a request, reply, or error"};
 
-/// Incremental framing over a worker's byte stream.
-enum class FrameScan {
-  kNeedMore,  // the buffer holds a valid but incomplete frame prefix
-  kFrame,     // buffer[0..*frame_bytes) is one complete frame
-  kCorrupt,   // the buffer can never become a valid frame (bad magic,
-              // unsupported version, or oversized length)
-};
+using support::wire::FrameScan;
 
-/// Scans the front of `buf` for one complete frame without copying.
-/// Corruption inside the payload (checksum) is only detectable by
-/// decodeSupervisorFrame on the completed slice.
-FrameScan scanSupervisorFrame(const std::string& buf,
-                              std::size_t* frame_bytes, std::string* error);
+inline std::string encodeSupervisorFrame(std::uint8_t kind,
+                                         const std::string& payload) {
+  return support::wire::encodeFrame(kSupervisorFrame, kind, payload);
+}
+inline bool decodeSupervisorFrame(const std::string& bytes,
+                                  std::uint8_t* kind, std::string* payload,
+                                  std::string* error) {
+  return support::wire::decodeFrame(kSupervisorFrame, bytes, kind, payload,
+                                    error);
+}
+inline FrameScan scanSupervisorFrame(const std::string& buf,
+                                     std::size_t* frame_bytes,
+                                     std::string* error) {
+  return support::wire::scanFrame(kSupervisorFrame, buf, frame_bytes, error);
+}
 
 /// Request payload: an opaque token echoed back in the reply's
 /// PoolReplyHeader.id, the (1-based) attempt, the chaos action the

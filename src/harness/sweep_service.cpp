@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -221,7 +220,7 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
 
 std::string encodeServiceRequestWithToken(const ServiceRequest& req,
                                           const std::string& token) {
-  // The v1 request bytes ride as one nested string so the journal and the
+  // The request bytes ride as one nested string so the journal and the
   // request-equality check reuse them verbatim, token excluded.
   ByteWriter w;
   w.str(encodeServiceRequest(req));
@@ -242,14 +241,7 @@ bool decodeServiceRequestWithToken(const std::string& payload,
 namespace {
 
 std::string encodeServiceFrame(std::uint8_t kind, const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameMagic, kServiceFrameV1, kind, payload);
-}
-
-/// v2 frames carry only what v1 cannot express (the token request payload
-/// and kAttached); everything else stays v1 so v1 peers keep decoding.
-std::string encodeServiceFrameV2(std::uint8_t kind,
-                                 const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameMagic, kServiceFrameV2, kind, payload);
+  return wire::encodeFrame(kServiceFrame, kind, payload);
 }
 
 std::string encodeProgressPayload(std::uint64_t done, std::uint64_t total) {
@@ -472,12 +464,6 @@ struct SweepService::Impl {
 
   SweepServiceOptions options;
 
-  struct PendingCell {
-    std::uint64_t cell = 0;
-    std::uint32_t attempt = 1;
-    Clock::time_point not_before{};
-  };
-
   struct Client {
     int fd = -1;
     std::uint64_t id = 0;
@@ -492,10 +478,6 @@ struct SweepService::Impl {
     std::uint8_t tag = 'E';
     std::uint64_t total = 0;
     std::uint64_t done = 0;
-    std::uint64_t dispatched = 0;  // fairness counter (dispatch events)
-    std::size_t running = 0;
-    std::deque<PendingCell> ready;
-    std::vector<PendingCell> waiting;  // retry backoff, not yet due
     bool has_deadline = false;
     Clock::time_point deadline{};
     // Campaign metadata for parent-side settles.
@@ -503,8 +485,8 @@ struct SweepService::Impl {
     // Sweep metadata: benchmark/config per cell.
     std::vector<std::pair<std::string, std::string>> sweep_keys;
     // ---- Journal / idempotency state ----
-    /// Client-supplied idempotency token ("" = v1 semantics: a disconnect
-    /// cancels the request).
+    /// Client-supplied idempotency token ("" = none: a disconnect cancels
+    /// the request).
     std::string token;
     /// Journal id (0 = unjournaled request).
     std::uint64_t request_id = 0;
@@ -522,20 +504,16 @@ struct SweepService::Impl {
     std::vector<std::string> result_frames;
 
     /// Keep serving after a disconnect? Tokened and journal-recovered
-    /// requests survive their client; plain v1 requests are cancelled.
+    /// requests survive their client; tokenless requests are cancelled.
     bool survivesDisconnect() const { return !token.empty() || recovered; }
   };
 
+  /// The dispatch loop; each admitted client is one owner, keyed by id.
   std::unique_ptr<WorkerPool> pool;
   int listen_fd = -1;
   std::size_t jobs = 1;
   std::uint64_t next_client_id = 1;
-  std::uint64_t next_job_id = 1;
-  std::uint64_t last_rr = 0;  // round-robin cursor (client id)
   std::map<std::uint64_t, Client> clients;
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      jobs_in_flight;  // job id -> (client id, cell)
-  std::size_t queued_cells = 0;
   bool draining = false;
   bool drain_flush_armed = false;
   Clock::time_point drain_flush_deadline{};
@@ -635,10 +613,8 @@ struct SweepService::Impl {
       return;
     }
     // Only this client's queued cells are cancelled; its in-flight cells
-    // finish on their workers and are dropped at settle time.
-    queued_cells -= c.ready.size() + c.waiting.size();
-    c.ready.clear();
-    c.waiting.clear();
+    // finish on their workers and their results are dropped.
+    pool->removeOwner(c.id);
     if (c.admitted && !c.settled_logged) {
       // Tokenless, so nobody can ever attach: settle now. A request cut
       // down mid-run is cancelled; one whose work finished but whose
@@ -654,8 +630,8 @@ struct SweepService::Impl {
   /// no worker about to settle into it, no queued cells still being
   /// served for an orphan, and no token retention awaiting an attach.
   bool reapable(const Client& c) const {
-    if (c.fd >= 0 || c.running > 0) return false;
-    if (!c.ready.empty() || !c.waiting.empty()) return false;
+    if (c.fd >= 0 || pool->running(c.id) > 0) return false;
+    if (pool->queued(c.id) > 0) return false;
     if (c.admitted && !c.token.empty() && !c.delivered && !draining) {
       return false;  // finished orphan: hold for a same-token attach
     }
@@ -679,6 +655,7 @@ struct SweepService::Impl {
             tokens.erase(tit);
           }
         }
+        pool->removeOwner(it->first);
         it = clients.erase(it);
       } else {
         ++it;
@@ -825,6 +802,23 @@ struct SweepService::Impl {
     journal.sync();
   }
 
+  /// Registers `c` with the pool as one owner: the worker spec of each of
+  /// its cells, its chaos plan, and the hook settling outcomes into it.
+  void addOwner(const Client& c) {
+    const std::uint64_t id = c.id;
+    WorkerPool::Owner owner;
+    owner.spec = [bytes = c.request_bytes,
+                  dir = options.trace_cache_dir](std::size_t cell) {
+      return encodeWorkerSpec(bytes, cell, dir);
+    };
+    owner.chaos = c.request.chaos;
+    owner.settle = [this, id](std::size_t cell, Supervisor::Outcome oc) {
+      const auto it = clients.find(id);
+      if (it != clients.end()) settleCell(it->second, cell, oc);
+    };
+    pool->addOwner(id, std::move(owner));
+  }
+
   /// Admission: validates, normalizes, and either queues every cell of
   /// the request or answers busy/error and closes.
   void admit(Client& c, ServiceRequest req, std::string token) {
@@ -838,6 +832,7 @@ struct SweepService::Impl {
       refuse(c, kServiceFrameError, encodeTextPayload(why));
       return;
     }
+    const std::size_t queued_cells = pool->queued();
     if (queued_cells + c.total > options.max_queue) {
       // Backpressure with an explicit hint: roughly the time for the
       // backlog ahead of this request to drain one pool pass.
@@ -860,10 +855,10 @@ struct SweepService::Impl {
     c.token = std::move(token);
     c.admitted = true;
     armDeadline(c);
+    addOwner(c);
     for (std::uint64_t i = 0; i < c.total; ++i) {
-      c.ready.push_back(PendingCell{i, 1, Clock::time_point{}});
+      pool->enqueue(c.id, static_cast<std::size_t>(i));
     }
-    queued_cells += c.total;
     ++requests_admitted;
     if (!c.token.empty()) tokens[c.token] = c.id;
     journalAdmit(c);
@@ -900,8 +895,7 @@ struct SweepService::Impl {
     r.out_pos = 0;
     r.close_after_flush = false;
     ++requests_attached;
-    r.outbuf.append(encodeServiceFrameV2(
-        kServiceFrameAttached, encodeProgressPayload(r.done, r.total)));
+    queueFrame(r, kServiceFrameAttached, encodeProgressPayload(r.done, r.total));
     for (const std::string& payload : r.result_frames) {
       queueFrame(r, kServiceFrameResult, payload);
     }
@@ -942,6 +936,7 @@ struct SweepService::Impl {
     }
     c.admitted = true;
     armDeadline(c);  // the deadline clock restarts at recovery
+    addOwner(c);
     const std::uint64_t cid = c.id;
     Client& r = clients.emplace(cid, std::move(c)).first->second;
     if (!r.token.empty()) tokens[r.token] = r.id;
@@ -972,14 +967,13 @@ struct SweepService::Impl {
       if (line != nullptr) {
         replay.emplace_back(i, line);
       } else {
-        r.ready.push_back(PendingCell{i, 1, Clock::time_point{}});
+        pool->enqueue(cid, static_cast<std::size_t>(i));
       }
     }
-    queued_cells += r.ready.size();
     note("service: recovered request " + std::to_string(rec.id) +
          " from the journal (" + std::to_string(replay.size()) +
-         " cells from the checkpoint, " + std::to_string(r.ready.size()) +
-         " to run)");
+         " cells from the checkpoint, " +
+         std::to_string(pool->queued(cid)) + " to run)");
     for (const auto& [i, line] : replay) {
       Supervisor::Outcome oc;
       oc.status = CellStatus::kOk;
@@ -1020,8 +1014,8 @@ struct SweepService::Impl {
              static_cast<std::uint64_t>(pool->workersRespawned()));
     w.endObject();
     w.key("queue").beginObject();
-    w.member("queued", static_cast<std::uint64_t>(queued_cells));
-    w.member("running", static_cast<std::uint64_t>(jobs_in_flight.size()));
+    w.member("queued", static_cast<std::uint64_t>(pool->queued()));
+    w.member("running", static_cast<std::uint64_t>(pool->busyWorkers()));
     w.endObject();
     w.key("counters").beginObject();
     w.member("requests_admitted", requests_admitted);
@@ -1052,41 +1046,28 @@ struct SweepService::Impl {
       w.member("kind", static_cast<std::uint64_t>(c.request.kind));
       w.member("total", c.total);
       w.member("done", c.done);
-      w.member("queued",
-               static_cast<std::uint64_t>(c.ready.size() + c.waiting.size()));
-      w.member("running", static_cast<std::uint64_t>(c.running));
-      w.member("dispatched", c.dispatched);
+      w.member("queued", static_cast<std::uint64_t>(pool->queued(id)));
+      w.member("running", static_cast<std::uint64_t>(pool->running(id)));
+      w.member("dispatched", pool->dispatched(id));
       w.member("orphaned", c.fd < 0);
       w.member("recovered", c.recovered);
       w.endObject();
     }
     w.endArray();
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resources.supervised_cells));
-    w.member("attempts", resources.attempts);
-    w.member("host_user_seconds", resources.host_user_seconds);
-    w.member("host_sys_seconds", resources.host_sys_seconds);
-    w.member("host_max_rss_kb", resources.host_max_rss_kb);
-    w.endObject();
+    writeResourceJson(w, resources);
     w.endObject();
     return out.str();
   }
 
   /// Handles one decoded frame from a client. Returns false when the
   /// connection can no longer be trusted.
-  bool handleFrame(Client& c, std::uint32_t version, std::uint8_t kind,
-                   const std::string& payload) {
+  bool handleFrame(Client& c, std::uint8_t kind, const std::string& payload) {
     switch (kind) {
       case kServiceFrameRequest: {
         if (c.admitted || c.close_after_flush) return false;
         ServiceRequest req;
         std::string token;
-        const bool decoded =
-            version >= kServiceFrameV2
-                ? decodeServiceRequestWithToken(payload, &req, &token)
-                : decodeServiceRequest(payload, &req);
-        if (!decoded) {
+        if (!decodeServiceRequestWithToken(payload, &req, &token)) {
           refuse(c, kServiceFrameError,
                  encodeTextPayload("undecodable request payload"));
           return true;
@@ -1134,7 +1115,7 @@ struct SweepService::Impl {
       std::size_t frame_bytes = 0;
       std::string error;
       const wire::FrameScan scan =
-          wire::scanFrame(kServiceFrameMagic, c.inbuf, &frame_bytes, &error);
+          wire::scanFrame(kServiceFrame, c.inbuf, &frame_bytes, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         note("service: client " + std::to_string(c.id) +
@@ -1144,24 +1125,15 @@ struct SweepService::Impl {
       }
       std::string frame = c.inbuf.substr(0, frame_bytes);
       c.inbuf.erase(0, frame_bytes);
-      std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameMagic, frame, kServiceFrameV1,
-                             kServiceFrameV2, kServiceFrameMaxKindV2, &version,
-                             &kind, &payload, &error)) {
+      if (!wire::decodeFrame(kServiceFrame, frame, &kind, &payload, &error)) {
         note("service: client " + std::to_string(c.id) +
              " sent an invalid frame (" + error + "); disconnecting");
         disconnectClient(c);
         return;
       }
-      if (version == kServiceFrameV1 && kind > kServiceFrameMaxKind) {
-        note("service: client " + std::to_string(c.id) +
-             " sent a v1 frame with a v2-only kind; disconnecting");
-        disconnectClient(c);
-        return;
-      }
-      if (!handleFrame(c, version, kind, payload)) {
+      if (!handleFrame(c, kind, payload)) {
         disconnectClient(c);
         return;
       }
@@ -1241,116 +1213,15 @@ struct SweepService::Impl {
   /// Settles every still-queued cell of `c` with a synthetic outcome
   /// (deadline expiry or drain) — in-flight cells are left to finish.
   void settleQueuedAs(Client& c, CellStatus status, const char* diagnostic) {
-    std::deque<PendingCell> cells = std::move(c.ready);
-    for (const PendingCell& pc : c.waiting) cells.push_back(pc);
-    c.ready.clear();
-    c.waiting.clear();
-    queued_cells -= cells.size();
     Supervisor::Outcome oc;
     oc.status = status;
     oc.diagnostic = diagnostic;
-    std::sort(cells.begin(), cells.end(),
-              [](const PendingCell& a, const PendingCell& b) {
-                return a.cell < b.cell;
-              });
-    for (const PendingCell& pc : cells) {
+    for (const std::size_t cell : pool->cancel(c.id)) {
       // A mid-loop disconnect cancels a plain client's remaining settles;
       // an orphaned tokened/recovered request settles regardless.
       if (c.fd < 0 && !c.survivesDisconnect()) break;
-      settleCell(c, pc.cell, oc);
+      settleCell(c, cell, oc);
     }
-  }
-
-  void moveDueRetries(Client& c, Clock::time_point now) {
-    for (auto it = c.waiting.begin(); it != c.waiting.end();) {
-      if (it->not_before <= now) {
-        // Retries re-enter at the front: the cell already waited its
-        // backoff and should not queue behind the whole remaining grid.
-        c.ready.push_front(*it);
-        it = c.waiting.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  bool dispatchCell(std::uint64_t client_id, Client& c) {
-    PendingCell pc = c.ready.front();
-    WorkerPool::Job job;
-    job.id = next_job_id++;
-    job.attempt = pc.attempt;
-    job.spec = encodeWorkerSpec(c.request_bytes, pc.cell,
-                                options.trace_cache_dir);
-    if (options.allow_chaos) {
-      job.chaos = c.request.chaos.actionFor(
-          static_cast<std::size_t>(pc.cell), pc.attempt);
-    }
-    if (!pool->dispatch(job)) return false;
-    c.ready.pop_front();
-    --queued_cells;
-    ++c.running;
-    ++c.dispatched;
-    jobs_in_flight[job.id] = {client_id, pc.cell};
-    return true;
-  }
-
-  /// One fair scheduling sweep: repeatedly rotate over clients, taking at
-  /// most one ready cell per client per rotation, while idle workers last.
-  void schedule() {
-    const Clock::time_point now = Clock::now();
-    bool progress = true;
-    while (progress && pool->idleWorkers() > 0 && !clients.empty()) {
-      progress = false;
-      auto it = clients.upper_bound(last_rr);
-      for (std::size_t n = 0; n < clients.size() && pool->idleWorkers() > 0;
-           ++n) {
-        if (it == clients.end()) it = clients.begin();
-        const std::uint64_t id = it->first;
-        Client& c = it->second;
-        ++it;
-        // Orphans (fd < 0 with a token or recovered from the journal)
-        // keep dispatching; their queues are cleared at disconnect
-        // otherwise, so ready.empty() skips plain disconnected clients.
-        if (!c.admitted || c.done_sent) continue;
-        moveDueRetries(c, now);
-        if (c.ready.empty()) continue;
-        if (dispatchCell(id, c)) {
-          last_rr = id;
-          progress = true;
-        } else {
-          return;  // no idle worker could take the job
-        }
-      }
-    }
-  }
-
-  void handleSettled(std::vector<WorkerPool::Settled>& settled) {
-    for (WorkerPool::Settled& s : settled) {
-      auto jit = jobs_in_flight.find(s.id);
-      if (jit == jobs_in_flight.end()) continue;
-      const auto [client_id, cell] = jit->second;
-      jobs_in_flight.erase(jit);
-      auto cit = clients.find(client_id);
-      if (cit == clients.end()) continue;
-      Client& c = cit->second;
-      --c.running;
-      if (c.fd < 0 && !c.survivesDisconnect()) {
-        continue;  // disconnected mid-flight: result dropped
-      }
-      if (shouldRetry(options.supervisor, s.outcome.status, s.attempt,
-                      draining)) {
-        const double delay = backoffSeconds(
-            options.supervisor, static_cast<std::size_t>(cell), s.attempt + 1);
-        c.waiting.push_back(PendingCell{
-            cell, s.attempt + 1,
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(delay))});
-        ++queued_cells;
-        continue;
-      }
-      settleCell(c, cell, s.outcome);
-    }
-    settled.clear();
   }
 
   void checkDeadlines() {
@@ -1359,7 +1230,7 @@ struct SweepService::Impl {
       if (!c.admitted || c.done_sent || !c.has_deadline) continue;
       if (c.fd < 0 && !c.survivesDisconnect()) continue;
       if (now < c.deadline) continue;
-      if (c.ready.empty() && c.waiting.empty()) continue;
+      if (pool->queued(id) == 0) continue;
       note("service: client " + std::to_string(id) +
            " deadline expired; failing its queued cells");
       c.deadline_expired = true;
@@ -1374,7 +1245,7 @@ struct SweepService::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    pool->setRespawnPolicy([] { return false; });
+    pool->stop();
     std::uint64_t orphans_preserved = 0;
     for (auto& [id, c] : clients) {
       if (c.fd < 0 || !c.admitted || c.done_sent) {
@@ -1449,13 +1320,11 @@ struct SweepService::Impl {
         return 1;
       }
     }
-    SupervisorOptions sup = options.supervisor;
-    sup.isolate = true;
-    sup.chaos = support::ChaosPlan{};  // chaos arrives per request
-    jobs = sup.jobs == 0 ? support::ThreadPool::defaultWorkerCount()
-                         : sup.jobs;
-    pool = std::make_unique<WorkerPool>(sup, serviceSpecProduce);
-    pool->setChildSetup([this] {
+    jobs = options.supervisor.jobs == 0
+               ? support::ThreadPool::defaultWorkerCount()
+               : options.supervisor.jobs;
+    pool = std::make_unique<WorkerPool>(options.supervisor, serviceSpecProduce,
+                                        jobs, [this] {
       // Workers must never hold the service's sockets open: a forked
       // worker outliving the service would otherwise keep clients (and
       // the listening socket) half-alive. The checkpoint/journal fds are
@@ -1467,7 +1336,7 @@ struct SweepService::Impl {
       if (checkpoint.fd() >= 0) ::close(checkpoint.fd());
       if (journal.fd() >= 0) ::close(journal.fd());
     });
-    if (!pool->ensure(jobs) && pool->workerCount() == 0) {
+    if (pool->workerCount() == 0) {
       note("service: could not fork any pooled worker");
       ::close(listen_fd);
       return 1;
@@ -1504,17 +1373,12 @@ struct SweepService::Impl {
     note("service: listening on " + options.socket_path + " (" +
          std::to_string(pool->workerCount()) + " workers)");
 
-    std::vector<WorkerPool::Settled> settled;
     for (;;) {
       if (!draining && options.stop && *options.stop) beginDrain();
-
-      pool->service(settled);
-      handleSettled(settled);
       checkDeadlines();
-      if (!draining) schedule();
 
       if (draining) {
-        const bool work_done = jobs_in_flight.empty();
+        const bool work_done = pool->busyWorkers() == 0;
         bool flushed = true;
         for (auto& [id, c] : clients) {
           if (c.fd >= 0 && c.out_pos < c.outbuf.size()) flushed = false;
@@ -1534,50 +1398,27 @@ struct SweepService::Impl {
       }
       reapClients();
 
-      // Poll set: listener, clients, busy workers' reply pipes.
+      // The caller's half of the poll set: listener and clients. The pool
+      // adds its workers' reply pipes, dispatches, waits, and settles.
       std::vector<pollfd> fds;
-      std::vector<std::uint64_t> owner;  // client id per pollfd; 0 = other
+      std::vector<std::uint64_t> owner;  // client id per pollfd; 0 = listener
       if (listen_fd >= 0) {
         fds.push_back(pollfd{listen_fd, POLLIN, 0});
         owner.push_back(0);
       }
+      Clock::time_point wake = Clock::time_point::max();
       for (auto& [id, c] : clients) {
+        if (c.has_deadline && c.admitted && !c.done_sent) {
+          wake = std::min(wake, c.deadline);
+        }
         if (c.fd < 0) continue;
         short events = POLLIN;
         if (c.out_pos < c.outbuf.size()) events |= POLLOUT;
         fds.push_back(pollfd{c.fd, events, 0});
         owner.push_back(id);
       }
-      for (int fd : pool->busyReplyFds()) {
-        fds.push_back(pollfd{fd, POLLIN, 0});
-        owner.push_back(0);
-      }
-
-      int timeout_ms = 200;
-      const Clock::time_point now = Clock::now();
-      auto consider = [&](Clock::time_point t) {
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-                .count();
-        timeout_ms = std::max(
-            0, std::min(timeout_ms, static_cast<int>(std::max<long long>(
-                                        0, static_cast<long long>(ms)))));
-      };
-      Clock::time_point pool_deadline;
-      if (pool->nextDeadline(&pool_deadline)) consider(pool_deadline);
-      for (auto& [id, c] : clients) {
-        if (c.has_deadline && c.admitted && !c.done_sent) consider(c.deadline);
-        for (const PendingCell& pc : c.waiting) consider(pc.not_before);
-      }
-      if (drain_flush_armed) consider(drain_flush_deadline);
-
-      const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                            static_cast<nfds_t>(fds.size()), timeout_ms);
-      if (rc < 0 && errno != EINTR && errno != EAGAIN) {
-        note("service: poll failed: " + std::string(std::strerror(errno)));
-        break;
-      }
-      if (rc <= 0) continue;
+      if (drain_flush_armed) wake = std::min(wake, drain_flush_deadline);
+      pool->step(&fds, wake);
 
       for (std::size_t i = 0; i < fds.size(); ++i) {
         if (fds[i].revents == 0) continue;
@@ -1594,7 +1435,6 @@ struct SweepService::Impl {
           }
           continue;
         }
-        if (owner[i] == 0) continue;  // worker pipe: handled by service()
         auto cit = clients.find(owner[i]);
         if (cit == clients.end() || cit->second.fd != fds[i].fd) continue;
         Client& c = cit->second;
@@ -1714,7 +1554,7 @@ bool readServiceFrames(
       std::size_t frame_bytes = 0;
       std::string error;
       const wire::FrameScan scan =
-          wire::scanFrame(kServiceFrameMagic, inbuf, &frame_bytes, &error);
+          wire::scanFrame(kServiceFrame, inbuf, &frame_bytes, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         *transport_error = "corrupt frame from the service: " + error;
@@ -1722,12 +1562,9 @@ bool readServiceFrames(
       }
       std::string frame = inbuf.substr(0, frame_bytes);
       inbuf.erase(0, frame_bytes);
-      std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameMagic, frame, kServiceFrameV1,
-                             kServiceFrameV2, kServiceFrameMaxKindV2, &version,
-                             &kind, &payload, &error)) {
+      if (!wire::decodeFrame(kServiceFrame, frame, &kind, &payload, &error)) {
         *transport_error = "invalid frame from the service: " + error;
         return false;
       }
@@ -1750,15 +1587,9 @@ SubmitOutcome submitToService(const std::string& socket_path,
     outcome.transport = true;
     return outcome;
   }
-  // A token selects v2 framing; tokenless requests stay v1 so a new
-  // client keeps working against an old service.
-  const std::string frame =
-      options.token.empty()
-          ? encodeServiceFrame(kServiceFrameRequest,
-                               encodeServiceRequest(request))
-          : encodeServiceFrameV2(
-                kServiceFrameRequest,
-                encodeServiceRequestWithToken(request, options.token));
+  const std::string frame = encodeServiceFrame(
+      kServiceFrameRequest,
+      encodeServiceRequestWithToken(request, options.token));
   if (!wire::writeAllFd(fd, frame.data(), frame.size())) {
     outcome.error = "failed to send the request";
     outcome.transport = true;

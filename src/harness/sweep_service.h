@@ -3,8 +3,9 @@
 //
 // A single SweepService process listens on a Unix-domain socket and
 // multiplexes a stream of sweep / campaign requests from many concurrent
-// clients over one warm worker pool (harness::WorkerPool). The wire protocol, "SPTS" v1, reuses the SPTW frame discipline —
-// length-prefixed, versioned, FNV-1a-checksummed frames (support/wire.h)
+// clients over one warm worker pool (harness::WorkerPool). The wire
+// protocol, "SPTS", is support::wire's frame discipline — length-prefixed,
+// versioned, FNV-1a-checksummed frames, the same as the pool's SPTW pipes
 // — with a request/progress/result/done/error/status vocabulary:
 //
 //   client -> service   kRequest        one sweep/campaign/echo request
@@ -15,11 +16,12 @@
 //                       kDone           request complete
 //                       kError          request rejected (bad spec, ...)
 //                       kStatus         JSON status document
-//                       kAttached       (v2) token matched an existing
+//                       kAttached       token matched an existing
 //                                       request; settled results replayed
 //
 // Scheduling and robustness properties (exercised by sweep_service_test
-// and the CI soak):
+// and the CI soak); each client is one owner in the pool's dispatch loop,
+// which owns the queue, retries and fairness:
 //
 //  * **fair round-robin**: one cell per ready client per scheduling pass,
 //    so a 640-cell campaign cannot starve a 10-cell sweep that arrived
@@ -61,17 +63,15 @@
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "support/chaos.h"
+#include "support/wire.h"
 
 namespace spt::harness {
 
-// ---- SPTS v1 frames -------------------------------------------------------
+// ---- SPTS frames ---------------------------------------------------------
 
-inline constexpr char kServiceFrameMagic[4] = {'S', 'P', 'T', 'S'};
-inline constexpr std::uint32_t kServiceFrameV1 = 1;
-/// SPTS v2 adds the idempotency-token request payload and the kAttached
-/// reply. v1 negotiation is preserved: a v1 client's frames decode and are
-/// answered with v1 frames; a v2 frame with a v1-only kind is invalid.
-inline constexpr std::uint32_t kServiceFrameV2 = 2;
+/// The one SPTS version; every request frame carries a token, empty for
+/// a tokenless request.
+inline constexpr std::uint32_t kServiceFrameVersion = 2;
 
 inline constexpr std::uint8_t kServiceFrameRequest = 0;
 inline constexpr std::uint8_t kServiceFrameProgress = 1;
@@ -81,12 +81,14 @@ inline constexpr std::uint8_t kServiceFrameDone = 4;
 inline constexpr std::uint8_t kServiceFrameError = 5;
 inline constexpr std::uint8_t kServiceFrameStatusRequest = 6;
 inline constexpr std::uint8_t kServiceFrameStatus = 7;
-/// v2 only, service -> client: the request's idempotency token matched a
-/// live or journal-recovered request; every already-settled result is
-/// replayed on this connection, then the stream continues live.
+/// Service -> client: the request's idempotency token matched a live or
+/// journal-recovered request; every already-settled result is replayed on
+/// this connection, then the stream continues live.
 inline constexpr std::uint8_t kServiceFrameAttached = 8;
-inline constexpr std::uint8_t kServiceFrameMaxKind = kServiceFrameStatus;
-inline constexpr std::uint8_t kServiceFrameMaxKindV2 = kServiceFrameAttached;
+
+inline constexpr support::wire::FrameFormat kServiceFrame = {
+    {'S', 'P', 'T', 'S'}, kServiceFrameVersion, kServiceFrameAttached,
+    "a service frame kind"};
 
 /// One client request. The grid is described, not enumerated: the service
 /// and its workers rebuild the cases through buildSuiteSweepCases /
@@ -128,10 +130,10 @@ struct ServiceRequest {
 std::string encodeServiceRequest(const ServiceRequest& req);
 bool decodeServiceRequest(const std::string& payload, ServiceRequest* req);
 
-/// SPTS v2 request payload: the v1 request bytes followed by a
-/// client-supplied idempotency token. The token is *not* part of the v1
-/// request encoding (journal records and request-equality checks use the
-/// tokenless bytes), so a v2 resubmission with the same token and grid
+/// The request frame's payload: the request bytes followed by the
+/// client's idempotency token (empty = none). The token is *not* part of
+/// the request encoding (journal records and request-equality checks use
+/// the tokenless bytes), so a resubmission with the same token and grid
 /// attaches to the original request instead of re-running it.
 std::string encodeServiceRequestWithToken(const ServiceRequest& req,
                                           const std::string& token);
@@ -209,8 +211,8 @@ struct SubmitOptions {
   support::ClientChaosPlan chaos;
   /// Overall client-side wait bound in seconds (0 = wait forever).
   double timeout_seconds = 0.0;
-  /// Idempotency token (non-empty selects SPTS v2 framing). A
-  /// resubmission with the same token and grid attaches to the original
+  /// Idempotency token (empty = none: a disconnect cancels the request).
+  /// A resubmission with the same token and grid attaches to the original
   /// request — live, orphaned, or journal-recovered — and replays its
   /// already-settled results instead of re-running any cell.
   std::string token;

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "support/fnv.h"
 #include "support/stats.h"
 #include "support/table.h"
 
@@ -23,11 +24,8 @@ class Fnv {
   std::uint64_t hash() const { return hash_; }
 
  private:
-  void byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001b3ull;
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+  void byte(unsigned char b) { hash_ = support::fnv1a(hash_, &b, 1); }
+  std::uint64_t hash_ = support::kFnvOffset;
 };
 
 }  // namespace

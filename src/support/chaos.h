@@ -18,7 +18,7 @@
 // disturbing the cells its siblings run.
 //
 // The plan is inert unless a directive matches, and chaos only ever runs
-// inside a forked worker — the in-process (--no-isolate) path refuses it.
+// inside a forked worker — the in-process path (no --isolate) refuses it.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/fnv.h"
+
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_WIRE_POSIX 1
 #include <errno.h>
@@ -15,15 +17,6 @@
 
 namespace spt::support::wire {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
 
 void appendRaw(std::string& out, const void* data, std::size_t n) {
   out.append(static_cast<const char*>(data), n);
@@ -38,14 +31,32 @@ std::uint64_t frameChecksum(std::uint8_t kind, std::uint64_t length,
   return checksum;
 }
 
+std::string badMagic(const std::string& bytes) {
+  return "bad frame magic (first bytes " + hexDump(bytes, 8) + ")";
+}
+
 }  // namespace
 
-std::string encodeFrame(const char magic[4], std::uint32_t version,
-                        std::uint8_t kind, const std::string& payload) {
+std::string hexDump(const std::string& bytes, std::size_t limit) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  const std::size_t n = std::min(bytes.size(), limit);
+  out.reserve(n * 2 + 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char c = static_cast<unsigned char>(bytes[i]);
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 0xf]);
+  }
+  if (bytes.size() > limit) out += "..";
+  return out;
+}
+
+std::string encodeFrame(const FrameFormat& format, std::uint8_t kind,
+                        const std::string& payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
-  appendRaw(out, magic, 4);
-  appendRaw(out, &version, sizeof version);
+  appendRaw(out, format.magic, 4);
+  appendRaw(out, &format.version, sizeof format.version);
   appendRaw(out, &kind, sizeof kind);
   const std::uint64_t length = payload.size();
   appendRaw(out, &length, sizeof length);
@@ -56,72 +67,74 @@ std::string encodeFrame(const char magic[4], std::uint32_t version,
   return out;
 }
 
-FrameScan scanFrame(const char magic[4], const std::string& buf,
+FrameScan scanFrame(const FrameFormat& format, const std::string& buf,
                     std::size_t* frame_bytes, std::string* error) {
-  const std::size_t magic_avail = std::min<std::size_t>(buf.size(), 4);
-  if (std::memcmp(buf.data(), magic, magic_avail) != 0) {
-    if (error) *error = "bad frame magic";
+  const auto corrupt = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
     return FrameScan::kCorrupt;
+  };
+  const std::size_t magic_avail = std::min<std::size_t>(buf.size(), 4);
+  if (std::memcmp(buf.data(), format.magic, magic_avail) != 0) {
+    return corrupt(badMagic(buf));
+  }
+  if (buf.size() < 8) return FrameScan::kNeedMore;
+  std::uint32_t version = 0;
+  std::memcpy(&version, buf.data() + 4, sizeof version);
+  if (version != format.version) {
+    return corrupt("unsupported frame version " + std::to_string(version));
   }
   if (buf.size() < kFrameHeaderBytes) return FrameScan::kNeedMore;
   std::uint64_t length = 0;
   std::memcpy(&length, buf.data() + 4 + 4 + 1, sizeof length);
   if (length > kMaxFramePayloadBytes) {
-    if (error) *error = "frame length " + std::to_string(length) +
-                        " exceeds the payload cap";
-    return FrameScan::kCorrupt;
+    return corrupt("frame length " + std::to_string(length) +
+                   " exceeds the payload cap");
   }
   const std::size_t total = kFrameHeaderBytes +
                             static_cast<std::size_t>(length) +
                             kFrameTrailerBytes;
   if (buf.size() < total) return FrameScan::kNeedMore;
-  if (frame_bytes) *frame_bytes = total;
+  if (frame_bytes != nullptr) *frame_bytes = total;
   return FrameScan::kFrame;
 }
 
-bool decodeFrame(const char magic[4], const std::string& frame,
-                 std::uint32_t min_version, std::uint32_t max_version,
-                 std::uint8_t max_kind, std::uint32_t* version,
+bool decodeFrame(const FrameFormat& format, const std::string& frame,
                  std::uint8_t* kind, std::string* payload,
                  std::string* error) {
-  if (frame.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
-    if (error) *error = "frame too short";
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
     return false;
+  };
+  constexpr std::size_t kEmptyFrame = kFrameHeaderBytes + kFrameTrailerBytes;
+  if (frame.empty()) return fail("empty reply (no frame)");
+  if (frame.size() < kEmptyFrame) {
+    return fail("short reply: " + std::to_string(frame.size()) +
+                " bytes, frame header needs " + std::to_string(kEmptyFrame));
   }
-  if (std::memcmp(frame.data(), magic, 4) != 0) {
-    if (error) *error = "bad frame magic";
-    return false;
+  if (std::memcmp(frame.data(), format.magic, 4) != 0) {
+    return fail(badMagic(frame));
   }
-  std::uint32_t v = 0;
-  std::memcpy(&v, frame.data() + 4, sizeof v);
-  if (v < min_version || v > max_version) {
-    if (error) {
-      *error = "unsupported frame version " + std::to_string(v) +
-               " (expected " + std::to_string(min_version) + " to " +
-               std::to_string(max_version) + ")";
-    }
-    return false;
+  std::uint32_t version = 0;
+  std::memcpy(&version, frame.data() + 4, sizeof version);
+  if (version != format.version) {
+    return fail("unsupported frame version " + std::to_string(version) +
+                " (expected " + std::to_string(format.version) + ")");
   }
   const std::uint8_t k = static_cast<std::uint8_t>(frame[4 + 4]);
-  if (k > max_kind) {
-    if (error) {
-      *error = "frame kind " + std::to_string(k) +
-               " is not valid for version " + std::to_string(v);
-    }
-    return false;
+  if (k > format.max_kind) {
+    return fail("frame kind " + std::to_string(k) + " is not " +
+                format.kinds);
   }
   std::uint64_t length = 0;
   std::memcpy(&length, frame.data() + 4 + 4 + 1, sizeof length);
   if (length > kMaxFramePayloadBytes) {
-    if (error) *error = "frame length exceeds the payload cap";
-    return false;
+    return fail("frame length " + std::to_string(length) +
+                " exceeds the payload cap");
   }
-  if (frame.size() != kFrameHeaderBytes + length + kFrameTrailerBytes) {
-    if (error) {
-      *error = "frame length field " + std::to_string(length) +
-               " does not match the buffered bytes";
-    }
-    return false;
+  if (frame.size() != kEmptyFrame + length) {
+    return fail("frame length mismatch: header says " +
+                std::to_string(length) + " payload bytes, reply carries " +
+                std::to_string(frame.size() - kEmptyFrame));
   }
   std::uint64_t stored = 0;
   std::memcpy(&stored, frame.data() + kFrameHeaderBytes + length,
@@ -129,13 +142,15 @@ bool decodeFrame(const char magic[4], const std::string& frame,
   const std::uint64_t checksum =
       frameChecksum(k, length, frame.data() + kFrameHeaderBytes);
   if (stored != checksum) {
-    if (error) *error = "frame checksum mismatch";
-    return false;
+    return fail("frame checksum mismatch: stored " + std::to_string(stored) +
+                ", computed " + std::to_string(checksum) +
+                " (reply bytes corrupted)");
   }
-  if (version) *version = v;
-  if (kind) *kind = k;
-  if (payload) payload->assign(frame, kFrameHeaderBytes,
-                               static_cast<std::size_t>(length));
+  if (kind != nullptr) *kind = k;
+  if (payload != nullptr) {
+    payload->assign(frame, kFrameHeaderBytes,
+                    static_cast<std::size_t>(length));
+  }
   return true;
 }
 

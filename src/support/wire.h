@@ -1,12 +1,10 @@
-// Byte-stream plumbing shared by socket protocols.
+// Byte-stream plumbing shared by the project's two pipe/socket protocols.
 //
 // The supervisor's SPTW pipes and the sweep service's SPTS socket both
 // speak the same frame discipline — magic | u32 version | u8 kind |
 // u64 length | payload | u64 FNV-1a(kind, length, payload) — so the
-// framing lives here once, parameterized by the 4-byte magic and the
-// version/kind window a given protocol accepts. (supervisor.h keeps its
-// own SPTW entry points for compatibility; the sweep service builds its
-// SPTS v1 frames on these.)
+// codec lives here once, parameterized by a FrameFormat: the 4-byte
+// magic, the one version a protocol speaks, and its highest kind.
 //
 // The Unix-domain socket helpers are the minimal nonblocking set a
 // single-threaded poll() event loop needs: listen/connect/accept with
@@ -20,35 +18,50 @@
 
 namespace spt::support::wire {
 
-/// Frame layout constants (identical to the SPTW constants in
-/// supervisor.cpp): 4 magic + 4 version + 1 kind + 8 length.
+/// Frame layout: 4 magic + 4 version + 1 kind + 8 length, then the
+/// payload and the 8-byte checksum.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 1 + 8;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
+/// A frame larger than this is corruption, not a result.
 inline constexpr std::uint64_t kMaxFramePayloadBytes = 1ull << 28;
 
-/// Encodes one frame under the given 4-byte magic.
-std::string encodeFrame(const char magic[4], std::uint32_t version,
-                        std::uint8_t kind, const std::string& payload);
+/// One protocol's frame dialect.
+struct FrameFormat {
+  char magic[4];
+  std::uint32_t version;
+  std::uint8_t max_kind;
+  /// Completes "frame kind K is not ..." for an out-of-range kind.
+  const char* kinds;
+};
+
+std::string encodeFrame(const FrameFormat& format, std::uint8_t kind,
+                        const std::string& payload);
 
 /// Incremental scan state for a byte stream of frames.
 enum class FrameScan {
-  kNeedMore,  // valid but incomplete frame prefix
+  kNeedMore,  // the buffer holds a valid but incomplete frame prefix
   kFrame,     // buf[0..*frame_bytes) is one complete frame
-  kCorrupt,   // can never become a valid frame (magic/length)
+  kCorrupt,   // the buffer can never become a valid frame (bad magic,
+              // unsupported version, or oversized length)
 };
 
-/// Scans the front of `buf` for one complete frame without copying.
-FrameScan scanFrame(const char magic[4], const std::string& buf,
+/// Scans the front of `buf` for one complete frame without copying. A
+/// garbage stream is rejected on the first bytes that prove it garbage
+/// (magic from byte 0, version once 8 bytes arrived). Corruption inside
+/// the payload (checksum) is only detectable by decodeFrame.
+FrameScan scanFrame(const FrameFormat& format, const std::string& buf,
                     std::size_t* frame_bytes, std::string* error);
 
 /// Decodes one complete frame (as delimited by scanFrame): validates
-/// magic, version in [min_version, max_version], checksum, and that
-/// `kind <= max_kind`. Returns false with a reason otherwise.
-bool decodeFrame(const char magic[4], const std::string& frame,
-                 std::uint32_t min_version, std::uint32_t max_version,
-                 std::uint8_t max_kind, std::uint32_t* version,
+/// magic, version, kind, length, and checksum. Returns false with a
+/// reason ("empty reply", "short reply", "frame length mismatch",
+/// "frame checksum mismatch", ...) otherwise.
+bool decodeFrame(const FrameFormat& format, const std::string& frame,
                  std::uint8_t* kind, std::string* payload,
                  std::string* error);
+
+/// Lower-case hex of the first `limit` bytes, ".." appended when cut.
+std::string hexDump(const std::string& bytes, std::size_t limit);
 
 // ---- Unix-domain sockets (POSIX only) -------------------------------------
 

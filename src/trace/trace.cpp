@@ -13,6 +13,21 @@
 #include <cstdlib>
 #endif
 
+// ThreadSanitizer does not follow pages that mremap moves: it keeps the
+// old addresses' shadow state, and when a later mapping reuses them it
+// reports races on buffers that only ever had one thread. Under TSan,
+// growth takes the portable map-copy-unmap path instead.
+#if defined(__SANITIZE_THREAD__)
+#define SPT_TRACE_BUFFER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SPT_TRACE_BUFFER_TSAN 1
+#endif
+#endif
+#if defined(__linux__) && !defined(SPT_TRACE_BUFFER_TSAN)
+#define SPT_TRACE_BUFFER_MREMAP 1
+#endif
+
 namespace spt::trace {
 
 std::size_t TraceView::instrCount() const {
@@ -81,7 +96,7 @@ void TraceBuffer::grow() {
   if (data_ == nullptr) {
     p = mapBytes(bytes);
   } else {
-#if defined(__linux__)
+#if defined(SPT_TRACE_BUFFER_MREMAP)
     // Moves page-table entries, never records; filled pages stay faulted.
     p = ::mremap(data_, capacity_ * sizeof(Record), bytes, MREMAP_MAYMOVE);
     if (p == MAP_FAILED) p = nullptr;

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "support/fnv.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define SPT_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -32,14 +34,8 @@ constexpr std::size_t kHeaderBytesV3 =
 static_assert(kHeaderBytesV3 == 48 && kHeaderBytesV3 % alignof(Record) == 0,
               "v3 records must start 8-aligned for in-place mapping");
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
+using support::fnv1a;
+using support::kFnvOffset;
 
 /// Record-range validation shared by every reader. `raw` is one 40-byte
 /// record image; `offset` is its absolute position in the file. On failure

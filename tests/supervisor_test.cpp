@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstring>
@@ -966,7 +967,7 @@ TEST(SupervisedSweep, SupervisedCheckpointResumesInProcess) {
   // Resume the supervisor's checkpoint on the in-process path: only the
   // crashed cell re-runs (observable via the build counter this time).
   opts.resume = true;
-  opts.supervisor = SupervisorOptions{};  // --no-isolate
+  opts.supervisor = SupervisorOptions{};  // in-process
   opts.quarantine = true;
   const auto second = runSweep(ParallelSweep(2), cases, opts);
   ASSERT_EQ(second.size(), 2u);
@@ -1596,6 +1597,52 @@ TEST(SupervisorPool, MidFramePipeCloseIsContainedPerCell) {
       EXPECT_EQ(outcomes[i].payload.size(), 4096u);
     }
   }
+}
+
+// A stop that arrives while the only queued cell waits out a retry
+// backoff, with no worker busy, must end the run within one bounded wait
+// of the dispatch loop rather than after the 5-10 s backoff. The stop
+// flag is set from a SIGALRM handler 300 ms in, as a ^C handler would.
+volatile std::sig_atomic_t g_backoff_stop = 0;
+extern "C" void backoffStopHandler(int) { g_backoff_stop = 1; }
+
+TEST(Supervisor, StopDuringRetryBackoffReturnsPromptly) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  g_backoff_stop = 0;
+  struct sigaction stop;
+  std::memset(&stop, 0, sizeof(stop));
+  stop.sa_handler = backoffStopHandler;
+  sigemptyset(&stop.sa_mask);
+  struct sigaction saved;
+  ASSERT_EQ(::sigaction(SIGALRM, &stop, &saved), 0);
+  itimerval at{};
+  at.it_value.tv_usec = 300 * 1000;
+
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 1;
+  opts.retries = 3;
+  opts.backoff_base_seconds = 5.0;
+  opts.chaos = *support::ChaosPlan::parse("0:exit");
+  opts.stop = &g_backoff_stop;
+  const Supervisor sup(opts);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &at, nullptr), 0);
+  const auto outcomes =
+      sup.run(1, [](std::size_t) { return std::string("unreached"); });
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  itimerval off{};
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &off, nullptr), 0);
+  ASSERT_EQ(::sigaction(SIGALRM, &saved, nullptr), 0);
+
+  EXPECT_LT(elapsed.count(), 2.0);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, CellStatus::kInternalError);
+  EXPECT_NE(outcomes[0].diagnostic.find("interrupted"), std::string::npos)
+      << outcomes[0].diagnostic;
 }
 
 #endif  // POSIX

@@ -32,6 +32,7 @@
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_SERVICE_TEST_POSIX 1
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -105,6 +106,37 @@ TEST(ServiceRequestCodec, RoundTripsEveryField) {
   EXPECT_EQ(back.echo_payload, req.echo_payload);
   EXPECT_DOUBLE_EQ(back.deadline_seconds, req.deadline_seconds);
   EXPECT_EQ(back.chaos.toSpec(), req.chaos.toSpec());
+}
+
+// SPTS speaks one version: a frame stamped with the retired tokenless
+// version 1 is corrupt from its first 8 bytes, and a tokenless request is
+// a version-2 request with an empty token.
+TEST(ServiceRequestCodec, OneFrameVersionCarriesTokenlessRequests) {
+  const ServiceRequest req = sampleRequest();
+  const std::string frame = support::wire::encodeFrame(
+      kServiceFrame, kServiceFrameRequest,
+      encodeServiceRequestWithToken(req, ""));
+  std::uint8_t kind = 0xff;
+  std::string payload;
+  std::string error;
+  ASSERT_TRUE(support::wire::decodeFrame(kServiceFrame, frame, &kind,
+                                         &payload, &error))
+      << error;
+  ServiceRequest back;
+  std::string token = "unset";
+  ASSERT_TRUE(decodeServiceRequestWithToken(payload, &back, &token));
+  EXPECT_TRUE(token.empty());
+  EXPECT_EQ(encodeServiceRequest(back), encodeServiceRequest(req));
+
+  std::string v1 = frame;
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data() + 4, &version, sizeof version);
+  EXPECT_EQ(support::wire::scanFrame(kServiceFrame, v1.substr(0, 8), nullptr,
+                                     &error),
+            support::wire::FrameScan::kCorrupt);
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_FALSE(
+      support::wire::decodeFrame(kServiceFrame, v1, &kind, &payload, &error));
 }
 
 TEST(ServiceRequestCodec, RejectsEveryTruncationAndTrailingGarbage) {
@@ -884,6 +916,77 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
     if (line.rfind(kCheckpointTag, 0) == 0) ++checkpoint_lines;
   }
   EXPECT_EQ(checkpoint_lines, 2u);
+}
+
+// A respawn that fails (here: pipe() at EMFILE) must not strand queued
+// cells. The dispatch loop keeps topping the pool up and, while it stays
+// empty, settles queued cells as crashed; before, the service filled its
+// pool only at startup, so a request queued behind the dead worker waited
+// forever and the client timed out.
+TEST(SweepService, EmptyPoolFailsQueuedCellsInsteadOfHanging) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "sizes RLIMIT_NOFILE to a compacted descriptor table";
+#else
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  const std::string path = ::testing::TempDir() + "/spts_emfile_" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    // Compact the descriptor table to 0..2, so the service numbers its
+    // fds from 3: the listener (3), one worker's pipes (4..7 while
+    // forking, then 5 and 6), and one client connection (4). A soft
+    // limit of 8 admits all of that, but once the worker dies and frees
+    // 5 and 6, the four fds a respawn needs are not there.
+    for (int fd = 3; fd < 1024; ++fd) ::close(fd);
+    rlimit rl{};
+    ::getrlimit(RLIMIT_NOFILE, &rl);
+    rl.rlim_cur = 8;
+    if (::setrlimit(RLIMIT_NOFILE, &rl) != 0) ::_exit(3);
+    g_service_stop = 0;
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = serviceStopHandler;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGTERM, &sa, nullptr);
+    SweepServiceOptions opts;
+    opts.socket_path = path;
+    opts.supervisor.jobs = 1;
+    opts.supervisor.cell_timeout_seconds = 60.0;
+    opts.allow_chaos = true;
+    opts.stop = &g_service_stop;
+    SweepService service(std::move(opts));
+    ::_exit(service.run());
+  }
+  ASSERT_GT(pid, 0);
+  const ServiceHandle h{pid, path};
+  bool up = false;
+  for (int i = 0; i < 200 && !up; ++i) {
+    up = queryServiceStatus(path).has_value();
+    if (!up) ::usleep(50 * 1000);
+  }
+  if (!up) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    FAIL() << "service did not come up on " << path;
+  }
+
+  // Cell 0 kills the only worker and its replacement cannot be forked:
+  // cell 0 settles as the crash it was, cells 1 and 2 as spawn failures.
+  ServiceRequest req;
+  req.kind = ServiceRequest::Kind::kEcho;
+  req.echo_cells = 3;
+  req.echo_payload = "z";
+  req.chaos = *support::ChaosPlan::parse("0:crash");
+  SubmitOptions sopts;
+  sopts.timeout_seconds = 30.0;
+  const SubmitOutcome out = submitToService(path, req, sopts);
+  EXPECT_TRUE(out.ok) << out.error;
+  EXPECT_EQ(out.echoes.size(), 3u);
+  for (const std::string& echo : out.echoes) EXPECT_EQ(echo, "error:crashed");
+
+  EXPECT_EQ(stopService(h), 0);
+#endif
 }
 
 #endif  // SPT_SERVICE_TEST_POSIX

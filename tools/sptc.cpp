@@ -101,7 +101,6 @@
 //                      segfault, abort, OOM, hang or corrupt reply becomes
 //                      a non-ok row (only that worker is respawned) while
 //                      the rest of the run completes
-//   --no-isolate       force the in-process path (the default)
 //   --cell-timeout S   per-worker wall-clock deadline in seconds
 //                      (fractional ok; SIGKILL past it; 0 = none)
 //   --retries N        extra attempts for crashed / timed-out / corrupt
@@ -412,8 +411,6 @@ Options parseOptions(int argc, char** argv, int first,
       o.quarantine = true;
     } else if (arg == "--isolate") {
       o.supervisor.isolate = true;
-    } else if (arg == "--no-isolate") {
-      o.supervisor.isolate = false;
     } else if (arg == "--cell-timeout") {
       o.supervisor.cell_timeout_seconds =
           std::strtod(need_value(i), nullptr);
