@@ -16,13 +16,6 @@
 
 namespace spt::harness {
 
-std::string sanitizeCheckpointField(std::string s) {
-  for (char& c : s) {
-    if (c == '\t' || c == '\n' || c == '\r') c = ' ';
-  }
-  return s;
-}
-
 std::string escapeCheckpointField(const std::string& s) {
   std::string out;
   out.reserve(s.size());

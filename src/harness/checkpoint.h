@@ -41,11 +41,6 @@ struct CheckpointLine {
   std::string diagnostic;
 };
 
-/// Replaces tab/newline bytes with spaces. Kept for display contexts that
-/// want flat one-line text; the checkpoint format itself now escapes
-/// losslessly instead.
-std::string sanitizeCheckpointField(std::string s);
-
 /// Lossless escaping of the format's separator bytes: `\` -> `\\`,
 /// tab -> `\t`, newline -> `\n`, CR -> `\r`.
 std::string escapeCheckpointField(const std::string& s);

@@ -24,12 +24,15 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-std::uint64_t instrCountOf(trace::TraceView view) {
-  std::uint64_t n = 0;
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    n += view[i].kind == trace::RecordKind::kInstr ? 1 : 0;
+/// Everything beyond the program identity that shapes a trace: the run
+/// arguments and the trace budget.
+std::uint64_t traceSalt(const std::vector<std::int64_t>& args,
+                        std::uint64_t max_trace_records) {
+  std::uint64_t salt = 1469598103934665603ull;
+  for (const std::int64_t a : args) {
+    salt = foldWord(salt, static_cast<std::uint64_t>(a));
   }
-  return n;
+  return foldWord(salt, max_trace_records);
 }
 
 }  // namespace
@@ -62,7 +65,9 @@ ExperimentResult runSptExperiment(ir::Module module,
                                   const compiler::CompilerOptions& copts,
                                   const support::MachineConfig& mconfig,
                                   std::vector<std::int64_t> args,
-                                  compiler::CompilationRemarks* remarks) {
+                                  compiler::CompilationRemarks* remarks,
+                                  TraceCache* cache,
+                                  const std::string& key_prefix) {
   ExperimentResult result;
 
   // Baseline: the unmodified module.
@@ -73,88 +78,56 @@ ExperimentResult runSptExperiment(ir::Module module,
   compiler::SptCompiler cc(copts);
   InterpProfileRunner runner(args);
   result.plan = cc.compile(module, runner, remarks);
-
-  // Sequential semantics must be preserved by the transformation.
-  TracedRun base_run = traceProgram(baseline, args, mconfig.max_trace_records);
-  TracedRun spt_run = traceProgram(module, args, mconfig.max_trace_records);
-  result.baseline_run = base_run.result;
-  result.spt_run = spt_run.result;
-  SPT_CHECK_MSG(
-      base_run.result.return_value == spt_run.result.return_value,
-      "SPT transformation changed the program result");
-  SPT_CHECK_MSG(base_run.result.memory_hash == spt_run.result.memory_hash,
-                "SPT transformation changed the memory image");
-
-  // Simulate.
-  sim::BaselineMachine base_machine(baseline, base_run.trace, mconfig);
-  result.baseline = base_machine.run();
-  const trace::LoopIndex index(module, spt_run.trace);
-  sim::SptMachine spt_machine(module, spt_run.trace, index, mconfig);
-  result.spt = spt_machine.run();
-  return result;
-}
-
-ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
-                                  const std::string& key_prefix,
-                                  const compiler::CompilerOptions& copts,
-                                  const support::MachineConfig& mconfig,
-                                  std::vector<std::int64_t> args,
-                                  compiler::CompilationRemarks* remarks) {
-  ExperimentResult result;
-
-  ir::Module baseline = module;
-  baseline.finalize();
-
-  compiler::SptCompiler cc(copts);
-  InterpProfileRunner runner(args);
-  result.plan = cc.compile(module, runner, remarks);
   if (!module.finalized()) module.finalize();
 
-  // Everything beyond the program identity that shapes the trace: run
-  // arguments and the trace budget. The SPT key also folds the plan
-  // fingerprint — the transformed program *is* the plan, so two option
-  // sets that compile to the same plan legitimately share a trace.
-  std::uint64_t salt = 1469598103934665603ull;
-  for (const std::int64_t a : args) {
-    salt = foldWord(salt, static_cast<std::uint64_t>(a));
-  }
-  salt = foldWord(salt, mconfig.max_trace_records);
-
-  const auto entryFor = [&](const std::string& tag,
-                            ir::Module& m) -> const TraceCache::Entry& {
-    return cache.get(
-        key_prefix + tag + "-" + hex64(salt),
-        [&](trace::TraceFileMeta* meta) {
-          TracedRun run = traceProgram(m, args, mconfig.max_trace_records);
-          meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
-          meta->word1 = run.result.memory_hash;
-          return std::move(run.trace);
+  // Trace both programs. Without a cache the records stay in `local` until
+  // the machines below are gone. With one they come from the shared store;
+  // the SPT key also folds the plan fingerprint — the transformed program
+  // *is* the plan, so two option sets that compile to the same plan
+  // legitimately share a trace. On a hit the interpreter never runs, so
+  // the run is recovered from the v3 meta words.
+  const auto traceOf = [&](ir::Module& m, TracedRun& local, bool spt,
+                           interp::RunResult* run) -> trace::TraceView {
+    if (cache == nullptr) {
+      local = traceProgram(m, args, mconfig.max_trace_records);
+      *run = local.result;
+      return local.trace;
+    }
+    const std::string key =
+        key_prefix +
+        (spt ? ".spt-" + hex64(result.plan.fingerprint()) : ".base") + "-" +
+        hex64(traceSalt(args, mconfig.max_trace_records));
+    const TraceCache::Entry& entry =
+        cache->get(key, [&](trace::TraceFileMeta* meta) {
+          TracedRun traced = traceProgram(m, args, mconfig.max_trace_records);
+          meta->word0 = static_cast<std::uint64_t>(traced.result.return_value);
+          meta->word1 = traced.result.memory_hash;
+          return std::move(traced.trace);
         });
+    run->return_value = static_cast<std::int64_t>(entry.meta.word0);
+    run->memory_hash = entry.meta.word1;
+    run->dynamic_instrs = entry.view.instrCount();
+    return entry.view;
   };
-  const TraceCache::Entry& base_entry = entryFor(".base", baseline);
-  const TraceCache::Entry& spt_entry =
-      entryFor(".spt-" + hex64(result.plan.fingerprint()), module);
+  TracedRun base_local;
+  TracedRun spt_local;
+  const trace::TraceView base_trace =
+      traceOf(baseline, base_local, false, &result.baseline_run);
+  const trace::TraceView spt_trace =
+      traceOf(module, spt_local, true, &result.spt_run);
 
-  result.baseline_run.return_value =
-      static_cast<std::int64_t>(base_entry.meta.word0);
-  result.baseline_run.memory_hash = base_entry.meta.word1;
-  result.baseline_run.dynamic_instrs = instrCountOf(base_entry.view);
-  result.spt_run.return_value =
-      static_cast<std::int64_t>(spt_entry.meta.word0);
-  result.spt_run.memory_hash = spt_entry.meta.word1;
-  result.spt_run.dynamic_instrs = instrCountOf(spt_entry.view);
+  // Sequential semantics must be preserved by the transformation.
   SPT_CHECK_MSG(
       result.baseline_run.return_value == result.spt_run.return_value,
       "SPT transformation changed the program result");
   SPT_CHECK_MSG(result.baseline_run.memory_hash == result.spt_run.memory_hash,
                 "SPT transformation changed the memory image");
 
-  // Simulate straight off the mapped files; the machines only need the
-  // views to stay valid until they are destroyed below.
-  sim::BaselineMachine base_machine(baseline, base_entry.view, mconfig);
+  // Simulate.
+  sim::BaselineMachine base_machine(baseline, base_trace, mconfig);
   result.baseline = base_machine.run();
-  const trace::LoopIndex index(module, spt_entry.view);
-  sim::SptMachine spt_machine(module, spt_entry.view, index, mconfig);
+  const trace::LoopIndex index(module, spt_trace);
+  sim::SptMachine spt_machine(module, spt_trace, index, mconfig);
   result.spt = spt_machine.run();
   return result;
 }

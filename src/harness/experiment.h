@@ -62,28 +62,21 @@ struct ExperimentResult {
 /// non-null `remarks`, fills the compiler's structured per-loop decision
 /// log (spt/remarks.h) — the experiment consumes the same plan, so
 /// results are unchanged by construction.
-ExperimentResult runSptExperiment(
-    ir::Module module, const compiler::CompilerOptions& copts = {},
-    const support::MachineConfig& mconfig = {},
-    std::vector<std::int64_t> args = {},
-    compiler::CompilationRemarks* remarks = nullptr);
-
-/// Shared-trace variant: identical results, but the baseline and SPT
-/// traces come from `cache` as mmap-backed v3 files instead of being
-/// re-interpreted per call. `key_prefix` must identify the program and
+///
+/// With non-null `cache` the results are identical, but the baseline and
+/// SPT traces come from `cache` as mmap-backed v3 files instead of being
+/// interpreted per call. `key_prefix` must then identify the program and
 /// its scale (e.g. "gzip.x2"); the cache key additionally folds in the
 /// run arguments, the trace budget, and — for the SPT trace — the
 /// compilation plan's fingerprint, so distinct compiler options never
 /// collide. On a cache hit the interpreter never runs: the traced run's
 /// return value and memory hash are recovered from the v3 meta words
-/// (baseline_run/spt_run.dynamic_instrs is recomputed from the trace).
-/// `cache` must outlive nothing here — machines are torn down before
-/// return — but the usual rule applies to callers holding views.
+/// (baseline_run/spt_run.dynamic_instrs is recounted from the trace).
 ExperimentResult runSptExperiment(
-    ir::Module module, TraceCache& cache, const std::string& key_prefix,
-    const compiler::CompilerOptions& copts = {},
+    ir::Module module, const compiler::CompilerOptions& copts = {},
     const support::MachineConfig& mconfig = {},
     std::vector<std::int64_t> args = {},
-    compiler::CompilationRemarks* remarks = nullptr);
+    compiler::CompilationRemarks* remarks = nullptr,
+    TraceCache* cache = nullptr, const std::string& key_prefix = {});
 
 }  // namespace spt::harness

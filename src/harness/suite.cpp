@@ -23,14 +23,9 @@ ExperimentResult runSuiteEntry(const SuiteEntry& entry,
                                std::uint64_t scale,
                                compiler::CompilationRemarks* remarks,
                                TraceCache* trace_cache) {
-  if (trace_cache != nullptr) {
-    return runSptExperiment(entry.workload.build(scale), *trace_cache,
-                            entry.workload.name + ".x" +
-                                std::to_string(scale),
-                            entry.copts, mconfig, {}, remarks);
-  }
   return runSptExperiment(entry.workload.build(scale), entry.copts, mconfig,
-                          {}, remarks);
+                          {}, remarks, trace_cache,
+                          entry.workload.name + ".x" + std::to_string(scale));
 }
 
 }  // namespace spt::harness

@@ -131,9 +131,9 @@ std::string chaosGarbage(std::uint64_t id) {
   return bytes;
 }
 
-/// Executes a non-kNone chaos action inside a worker. Never returns except
-/// for kHang's pause loop (which also never returns). A kPartial worker
-/// emits the first half of a valid reply frame to request `id`.
+/// Executes a non-kNone chaos action inside a worker. Never returns: kHang
+/// and kGarbage end in a pause loop the parent's SIGKILL ends. A kPartial
+/// worker emits the first half of a valid reply frame to request `id`.
 [[noreturn]] void performChaos(support::ChaosAction action, int fd,
                                std::uint64_t id) {
   switch (action) {
@@ -150,10 +150,12 @@ std::string chaosGarbage(std::uint64_t id) {
     case support::ChaosAction::kHang:
       for (;;) ::pause();
     case support::ChaosAction::kGarbage: {
+      // Block after writing: the parent SIGKILLs the worker as soon as it
+      // sees the bad magic, so the kill (never a race with our own exit)
+      // decides the reported exit code and signal.
       const std::string garbage = chaosGarbage(id);
       wire::writeAllFd(fd, garbage.data(), garbage.size());
-      ::close(fd);
-      ::_exit(0);
+      for (;;) ::pause();
     }
     case support::ChaosAction::kPartial: {
       const std::string frame = encodeSupervisorFrame(

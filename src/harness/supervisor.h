@@ -4,7 +4,7 @@
 // contains cells that take the whole process down. `jobs` workers are
 // forked once per run and live for the whole sweep. The parent sends
 // each cell to an idle worker as one request frame — versioned,
-// length-prefixed, FNV-1a-checksummed (the trace_io v2 approach) — and
+// length-prefixed, FNV-1a-checksummed (support/wire.h) — and
 // each worker loops `recv request → produce → reply`, re-arming its
 // per-cell RLIMIT_CPU window before every cell.
 //

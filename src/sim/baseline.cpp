@@ -8,44 +8,6 @@
 
 namespace spt::sim {
 
-ExecInstr makeExecInstr(const ir::Module& module, const trace::Record& record,
-                        std::uint64_t mem_addr_override) {
-  SPT_CHECK(record.kind == trace::RecordKind::kInstr);
-  const ir::Instr& instr = module.instrAt(record.sid);
-  ExecInstr e;
-  e.sid = record.sid;
-  e.op = instr.op;
-  e.base_latency = ir::baseLatency(instr.op);
-
-  int n = 0;
-  const auto addSrc = [&](ir::Reg r) {
-    if (r.valid() && n < 4) e.srcs[n++] = Pipeline::regKey(record.frame, r);
-  };
-  addSrc(instr.a);
-  addSrc(instr.b);
-  for (const ir::Reg arg : instr.args) addSrc(arg);
-  e.src_count = static_cast<std::uint32_t>(n);
-
-  if (instr.dst.valid() && ir::producesValue(instr.op) &&
-      instr.op != ir::Opcode::kCall) {
-    // A call's destination becomes ready when the callee returns; the
-    // machines set it explicitly on kRet.
-    e.dst = Pipeline::regKey(record.frame, instr.dst);
-  }
-  if (instr.op == ir::Opcode::kLoad) {
-    e.is_load = true;
-    e.mem_addr = mem_addr_override != 0 ? mem_addr_override : record.mem_addr;
-  } else if (instr.op == ir::Opcode::kStore) {
-    e.is_store = true;
-    e.mem_addr = mem_addr_override != 0 ? mem_addr_override : record.mem_addr;
-  }
-  if (instr.op == ir::Opcode::kCondBr) {
-    e.is_cond_branch = true;
-    e.taken = record.taken;
-  }
-  return e;
-}
-
 BaselineMachine::BaselineMachine(const ir::Module& module,
                                  trace::TraceView trace,
                                  const support::MachineConfig& config)

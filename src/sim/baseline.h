@@ -12,13 +12,6 @@
 
 namespace spt::sim {
 
-/// Converts one kInstr record into a timed ExecInstr. `mem_addr_override`
-/// replaces the record's address (used by speculative emulation where the
-/// effective address may differ). Call arguments beyond the fourth do not
-/// constrain timing.
-ExecInstr makeExecInstr(const ir::Module& module, const trace::Record& record,
-                        std::uint64_t mem_addr_override = 0);
-
 class BaselineMachine {
  public:
   /// The trace's backing store (TraceBuffer or trace_io::MappedTrace) must

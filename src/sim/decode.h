@@ -1,12 +1,11 @@
 // Predecoded static instruction table.
 //
-// Both machines touch every trace record with `module_.instrAt(r.sid)`
-// (a location lookup plus three indirections) and `makeExecInstr` (opcode
-// classification and source-register collection). All of that is a pure
-// function of the StaticId, so DecodeTable computes it exactly once per
-// static instruction at machine construction; the per-record work shrinks
-// to one vector index plus stamping the frame id into the prepared
-// register-key templates.
+// Timing a trace record needs its static instruction (`instrAt(r.sid)`: a
+// location lookup plus three indirections), its opcode class and its
+// source registers. All of that is a pure function of the StaticId, so
+// DecodeTable computes it exactly once per static instruction at machine
+// construction; the per-record work shrinks to one vector index plus
+// stamping the frame id into the prepared register-key templates.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +68,10 @@ class DecodeTable {
   std::vector<DecodedInstr> entries_;
 };
 
-/// Instantiates the skeleton for one dynamic record. Produces exactly the
-/// ExecInstr that makeExecInstr(module, record, override) builds — asserted
-/// by the golden digest tests.
+/// Instantiates the skeleton for one dynamic record: stamps the record's
+/// frame into the register-key templates and fills in its memory address
+/// (or a non-zero `mem_addr_override`, for speculative emulation whose
+/// effective address may differ) and branch outcome.
 inline ExecInstr makeExecInstr(const DecodedInstr& d, const trace::Record& r,
                                std::uint64_t mem_addr_override = 0) {
   ExecInstr e;

@@ -34,7 +34,7 @@ enum class ChaosAction {
   kCrash,    // raise SIGSEGV before producing the cell result
   kAbort,    // std::abort() (SIGABRT)
   kHang,     // sleep forever; only the parent watchdog can end the cell
-  kGarbage,  // reply with seeded garbage bytes instead of a frame
+  kGarbage,  // reply with seeded garbage bytes, then block until killed
   kPartial,  // reply with a truncated prefix of a valid frame
   kExit,     // _exit(3) without writing any reply
 };

@@ -9,11 +9,10 @@
 //
 // Layout contract: Record is the on-disk v3 record. The field order below
 // packs to exactly 40 bytes with no padding holes, little-endian on every
-// supported target, and matches trace_io's v2 DiskRecord byte for byte —
-// so a v3 trace file is mmap-able as a raw Record array (zero-copy), the
-// v2 and v3 stream checksums agree, and `sptc trace convert` is lossless
-// both ways. The static_asserts below pin the contract; do not reorder
-// fields without bumping the trace format version.
+// supported target, so a v3 trace file is mmap-able as a raw Record array
+// (zero-copy) and its stream checksum is over these very bytes. The
+// static_asserts below pin the contract; do not reorder fields without
+// bumping the trace format version.
 #pragma once
 
 #include <cstddef>

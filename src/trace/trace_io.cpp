@@ -18,17 +18,11 @@ namespace spt::trace {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'P', 'T', 'T', 'R', 'A', 'C', 'E'};
-// v2 added a whole-stream FNV-1a checksum to the header and per-record
-// kind/opcode range validation with byte-offset diagnostics. v3 keeps the
-// identical 40-byte record encoding behind an 8-aligned header so the
-// record array can be mapped in place (see trace_io.h).
-constexpr std::uint32_t kVersionV2 = 2;
+// The record array sits behind an 8-aligned header so it can be mapped in
+// place (see trace_io.h).
 constexpr std::uint32_t kVersionV3 = 3;
 
-// v2: magic + version + count + checksum.
-constexpr std::size_t kHeaderBytesV2 =
-    sizeof kMagic + sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-// v3: magic + version + flags + count + checksum + meta0 + meta1.
+// magic + version + flags + count + checksum + meta0 + meta1.
 constexpr std::size_t kHeaderBytesV3 =
     sizeof kMagic + 2 * sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t);
 static_assert(kHeaderBytesV3 == 48 && kHeaderBytesV3 % alignof(Record) == 0,
@@ -37,7 +31,7 @@ static_assert(kHeaderBytesV3 == 48 && kHeaderBytesV3 % alignof(Record) == 0,
 using support::fnv1a;
 using support::kFnvOffset;
 
-/// Record-range validation shared by every reader. `raw` is one 40-byte
+/// Record-range validation for MappedTrace::open. `raw` is one 40-byte
 /// record image; `offset` is its absolute position in the file. On failure
 /// fills `error` with the byte-offset diagnostic and returns false.
 bool validateRecordBytes(const unsigned char* raw, std::uint64_t index,
@@ -80,70 +74,11 @@ bool validateRecordBytes(const unsigned char* raw, std::uint64_t index,
 
 std::uint64_t streamChecksum(TraceView trace) {
   // Record *is* the canonical disk encoding (record.h), so the checksum is
-  // over the structs' own bytes — identical for v2 and v3 containers.
+  // over the structs' own bytes.
   return fnv1a(kFnvOffset, trace.data(), trace.size() * sizeof(Record));
 }
 
-/// Reads the `count` 40-byte records following a v2/v3 header from a
-/// stream, validating each. `base` is the first record's file offset.
-std::optional<TraceBuffer> readRecordStream(std::istream& is,
-                                            std::uint64_t count,
-                                            std::size_t base,
-                                            std::uint64_t stored_checksum,
-                                            std::string* error) {
-  const auto fail = [&](const std::string& why) -> std::optional<TraceBuffer> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
-  TraceBuffer buffer;
-  std::uint64_t checksum = kFnvOffset;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t offset = base + i * sizeof(Record);
-    unsigned char raw[sizeof(Record)];
-    is.read(reinterpret_cast<char*>(raw), sizeof raw);
-    if (!is) {
-      return fail("truncated record stream: expected record " +
-                  std::to_string(i) + " of " + std::to_string(count) +
-                  " (a " + std::to_string(sizeof(Record)) +
-                  "-byte kInstr/marker record) at byte offset " +
-                  std::to_string(offset));
-    }
-    if (!validateRecordBytes(raw, i, offset, error)) return std::nullopt;
-    checksum = fnv1a(checksum, raw, sizeof raw);
-    Record r;
-    std::memcpy(&r, raw, sizeof r);
-    buffer.onRecord(r);
-  }
-  if (checksum != stored_checksum) {
-    return fail("checksum mismatch over " + std::to_string(count) +
-                " records: stored " + std::to_string(stored_checksum) +
-                ", computed " + std::to_string(checksum) +
-                " (trace bytes corrupted)");
-  }
-  return buffer;
-}
-
 }  // namespace
-
-bool writeTrace(std::ostream& os, TraceView trace) {
-  os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersionV2;
-  os.write(reinterpret_cast<const char*>(&version), sizeof version);
-  const std::uint64_t count = trace.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
-  // Checksum of the record stream, so a reader can tell truncation and
-  // bit-rot apart from a well-formed short trace.
-  const std::uint64_t checksum = streamChecksum(trace);
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  os.write(reinterpret_cast<const char*>(trace.data()),
-           static_cast<std::streamsize>(count * sizeof(Record)));
-  return static_cast<bool>(os);
-}
-
-bool writeTraceFile(const std::string& path, TraceView trace) {
-  std::ofstream out(path, std::ios::binary);
-  return out && writeTrace(out, trace);
-}
 
 bool writeTraceV3(std::ostream& os, TraceView trace,
                   const TraceFileMeta& meta) {
@@ -167,71 +102,6 @@ bool writeTraceV3File(const std::string& path, TraceView trace,
                       const TraceFileMeta& meta) {
   std::ofstream out(path, std::ios::binary);
   return out && writeTraceV3(out, trace, meta);
-}
-
-std::optional<TraceBuffer> readTrace(std::istream& is, std::string* error) {
-  const auto fail = [&](const std::string& why) -> std::optional<TraceBuffer> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
-  char magic[8];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kMagic, sizeof magic) != 0) {
-    return fail("bad magic (not an SPT trace file)");
-  }
-  std::uint32_t version = 0;
-  is.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!is || (version != kVersionV2 && version != kVersionV3)) {
-    return fail("unsupported trace version " + std::to_string(version) +
-                " (expected " + std::to_string(kVersionV2) + " or " +
-                std::to_string(kVersionV3) + ")");
-  }
-  if (version == kVersionV3) {
-    std::uint32_t flags = 0;
-    is.read(reinterpret_cast<char*>(&flags), sizeof flags);
-    if (!is) return fail("truncated v3 header (missing flags)");
-    if (flags != 0) {
-      return fail("unsupported v3 flags " + std::to_string(flags) +
-                  " at byte offset 12 (reserved, must be 0)");
-    }
-  }
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!is) return fail("truncated header (missing record count)");
-  std::uint64_t stored_checksum = 0;
-  is.read(reinterpret_cast<char*>(&stored_checksum), sizeof stored_checksum);
-  if (!is) return fail("truncated header (missing checksum)");
-  if (version == kVersionV3) {
-    TraceFileMeta meta;
-    is.read(reinterpret_cast<char*>(&meta.word0), sizeof meta.word0);
-    is.read(reinterpret_cast<char*>(&meta.word1), sizeof meta.word1);
-    if (!is) return fail("truncated v3 header (missing meta words)");
-  }
-  const std::size_t base =
-      version == kVersionV2 ? kHeaderBytesV2 : kHeaderBytesV3;
-  return readRecordStream(is, count, base, stored_checksum, error);
-}
-
-std::optional<TraceBuffer> readTraceFile(const std::string& path,
-                                         std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  return readTrace(in, error);
-}
-
-int traceFileVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  char magic[sizeof kMagic] = {};
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof magic) != 0) return 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in || (version != kVersionV2 && version != kVersionV3)) return 0;
-  return static_cast<int>(version);
 }
 
 MappedTrace::MappedTrace(MappedTrace&& other) noexcept {
@@ -317,16 +187,6 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
 #endif
 
   if (file_len < kHeaderBytesV3) {
-    // A well-formed v2 stream can be this short too; say which we saw.
-    if (file_len >= sizeof kMagic + sizeof(std::uint32_t) &&
-        std::memcmp(bytes, kMagic, sizeof kMagic) == 0) {
-      std::uint32_t version = 0;
-      std::memcpy(&version, bytes + sizeof kMagic, sizeof version);
-      if (version == kVersionV2) {
-        return fail("v2 record stream (convert with `sptc trace convert` "
-                    "to mmap it)");
-      }
-    }
     return fail("truncated header: file is " + std::to_string(file_len) +
                 " bytes, the v3 header is " + std::to_string(kHeaderBytesV3) +
                 " bytes");
@@ -336,10 +196,6 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes + 8, sizeof version);
-  if (version == kVersionV2) {
-    return fail("v2 record stream (convert with `sptc trace convert` to "
-                "mmap it)");
-  }
   if (version != kVersionV3) {
     return fail("unsupported trace version " + std::to_string(version) +
                 " (expected " + std::to_string(kVersionV3) + ")");

@@ -410,11 +410,14 @@ TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
   EXPECT_NE(outcomes[2].diagnostic.find("wall-clock"), std::string::npos)
       << outcomes[2].diagnostic;
 
-  // Garbage reply: frame validation fails, first bytes are dumped.
+  // Garbage reply: frame validation fails, first bytes are dumped, and the
+  // parent's SIGKILL (never the worker's own exit) ends the worker.
   EXPECT_EQ(outcomes[3].status, CellStatus::kProtocolError);
   EXPECT_NE(outcomes[3].diagnostic.find("magic"), std::string::npos)
       << outcomes[3].diagnostic;
   EXPECT_FALSE(outcomes[3].worker.partial_reply.empty());
+  EXPECT_EQ(outcomes[3].worker.exit_code, -1);
+  EXPECT_EQ(outcomes[3].worker.term_signal, SIGKILL);
 
   // Truncated frame: the diagnostic names the frame whose header promises
   // more payload than arrived, and the partial bytes are dumped.
@@ -429,6 +432,24 @@ TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
   EXPECT_EQ(outcomes[5].worker.exit_code, 3);
   EXPECT_NE(outcomes[5].diagnostic.find("empty reply"), std::string::npos)
       << outcomes[5].diagnostic;
+
+  // Many garbage cells on the same three workers: every one reports the
+  // same diagnostics, however the worker's write and the parent's kill
+  // interleave.
+  opts.chaos = *support::ChaosPlan::parse(
+      "0:garbage,1:garbage,2:garbage,3:garbage,4:garbage,5:garbage,"
+      "6:garbage,7:garbage,8:garbage");
+  const auto garbage = Supervisor(opts).run(9, [](std::size_t cell) {
+    return "cell-" + std::to_string(cell);
+  });
+  ASSERT_EQ(garbage.size(), 9u);
+  for (std::size_t i = 0; i < garbage.size(); ++i) {
+    SCOPED_TRACE("garbage cell " + std::to_string(i));
+    EXPECT_EQ(garbage[i].status, CellStatus::kProtocolError);
+    EXPECT_FALSE(garbage[i].worker.timed_out);
+    EXPECT_EQ(garbage[i].worker.exit_code, -1);
+    EXPECT_EQ(garbage[i].worker.term_signal, SIGKILL);
+  }
 }
 
 TEST(Supervisor, RetriesTransientFailureThenSucceeds) {

@@ -6,8 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/suite.h"
@@ -67,19 +73,42 @@ TEST(TraceCache, ProducesOnceThenServesFromMemory) {
   }
 }
 
+// Re-traces `run` (an arraysum of 32) with its result in the meta words,
+// counting calls in `*calls`.
+TraceCache::Producer arraySum32Producer(const TracedRun& run, int* calls) {
+  return [&run, calls](trace::TraceFileMeta* meta) {
+    ++*calls;
+    meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
+    meta->word1 = run.result.memory_hash;
+    return tracedArraySum(32).trace;
+  };
+}
+
+// Writes `run`'s trace through a cache over `dir` under `key`, as another
+// process sharing the store would, and returns the file it wrote.
+std::string writeThroughCache(const std::string& dir, const std::string& key,
+                              const TracedRun& run) {
+  int calls = 0;
+  return TraceCache(dir).get(key, arraySum32Producer(run, &calls)).path;
+}
+
+void expectEntryMatchesRun(const TraceCache::Entry& entry,
+                           const TracedRun& run) {
+  ASSERT_EQ(entry.view.size(), run.trace.size());
+  EXPECT_EQ(std::memcmp(entry.view.data(), run.trace.view().data(),
+                        run.trace.size() * sizeof(trace::Record)),
+            0);
+  EXPECT_EQ(entry.meta.word0,
+            static_cast<std::uint64_t>(run.result.return_value));
+  EXPECT_EQ(entry.meta.word1, run.result.memory_hash);
+}
+
 TEST(TraceCache, AdoptsFileWrittenByAnotherCache) {
   // Two caches over one directory model two processes sharing the store:
   // the second must adopt the first's file without running its producer.
   const std::string dir = freshDir("adopt");
   const TracedRun run = tracedArraySum(32);
-  {
-    TraceCache writer(dir);
-    writer.get("arraysum.b", [&](trace::TraceFileMeta* meta) {
-      meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
-      meta->word1 = run.result.memory_hash;
-      return tracedArraySum(32).trace;
-    });
-  }
+  writeThroughCache(dir, "arraysum.b", run);
 
   TraceCache reader(dir);
   const TraceCache::Entry& entry =
@@ -89,10 +118,37 @@ TEST(TraceCache, AdoptsFileWrittenByAnotherCache) {
       });
   EXPECT_EQ(reader.fileReuses(), 1u);
   EXPECT_EQ(reader.produced(), 0u);
-  ASSERT_EQ(entry.view.size(), run.trace.size());
-  EXPECT_EQ(entry.meta.word0,
-            static_cast<std::uint64_t>(run.result.return_value));
-  EXPECT_EQ(entry.meta.word1, run.result.memory_hash);
+  expectEntryMatchesRun(entry, run);
+
+  // A damaged file is never trusted: one flipped record byte, or a cut
+  // file, fails validation at open and the reader re-produces the trace.
+  const std::vector<std::pair<std::string, std::function<void(std::string&)>>>
+      damages = {
+          {"flipped record byte",
+           [](std::string& bytes) { bytes[48 + 40 * 3 + 20] ^= 0x10; }},
+          {"truncated", [](std::string& bytes) { bytes.resize(100); }},
+      };
+  for (const auto& [what, damage] : damages) {
+    SCOPED_TRACE(what);
+    const std::string damaged_dir = freshDir("adopt_damaged");
+    const std::string path = writeThroughCache(damaged_dir, "arraysum.b", run);
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    damage(bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    TraceCache damaged_reader(damaged_dir);
+    int producer_calls = 0;
+    const TraceCache::Entry& fresh = damaged_reader.get(
+        "arraysum.b", arraySum32Producer(run, &producer_calls));
+    EXPECT_EQ(producer_calls, 1);
+    EXPECT_EQ(damaged_reader.produced(), 1u);
+    EXPECT_EQ(damaged_reader.fileReuses(), 0u);
+    expectEntryMatchesRun(fresh, run);
+  }
 }
 
 TEST(TraceCache, DistinctKeysGetDistinctFiles) {
@@ -148,7 +204,7 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
 
   const ExperimentResult plain = runSptExperiment(w.build(1));
   const ExperimentResult cached =
-      runSptExperiment(w.build(1), cache, "gzip.x1");
+      runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "gzip.x1");
   EXPECT_EQ(cache.produced(), 2u);  // one baseline trace + one SPT trace
 
   EXPECT_EQ(plain.baseline_run.return_value, cached.baseline_run.return_value);
@@ -165,7 +221,7 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   // A second cached run hits memory for both traces and — the whole point
   // — still reproduces the plain results without any interpretation.
   const ExperimentResult again =
-      runSptExperiment(w.build(1), cache, "gzip.x1");
+      runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "gzip.x1");
   EXPECT_EQ(cache.produced(), 2u);
   EXPECT_EQ(cache.memoryHits(), 2u);
   expectSameMachineResult(plain.baseline, again.baseline);

@@ -1,8 +1,10 @@
-// Tests for binary trace serialization: round trips, corruption handling,
-// and simulate-from-file equivalence.
+// Tests for the v3 trace container as the production reader sees it:
+// round trips through MappedTrace::open, simulate-from-file equivalence,
+// and the corruption diagnostics that decide whether a file is trusted.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
+#include <iterator>
 
 #include "harness/experiment.h"
 #include "random_programs.h"
@@ -13,20 +15,57 @@
 namespace spt::trace {
 namespace {
 
+// v3 header: magic(8) + version(4) + flags(4) + count(8) + checksum(8) +
+// two meta words(16).
+constexpr std::size_t kHeaderBytes = 48;
+constexpr std::size_t kRecordBytes = 40;
+
+/// A per-test file path: tests of one binary may run concurrently.
+std::string tracePath() {
+  return ::testing::TempDir() + "/spt_trace_io_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".spt3";
+}
+
+/// The bytes of `trace` in the v3 container.
+std::string v3Bytes(TraceView trace, const TraceFileMeta& meta = {}) {
+  const std::string path = tracePath();
+  EXPECT_TRUE(writeTraceV3File(path, trace, meta));
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// Writes `bytes` to the test's file and opens it with the production
+/// reader. The file is not rewritten while the returned mapping lives.
+std::optional<MappedTrace> openBytes(const std::string& bytes,
+                                     std::string* error = nullptr) {
+  const std::string path = tracePath();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  return MappedTrace::open(path, error);
+}
+
+void expectRejected(const std::string& bytes, const std::string& expected,
+                    const std::string& what) {
+  std::string error;
+  EXPECT_FALSE(openBytes(bytes, &error).has_value()) << what;
+  EXPECT_NE(error.find(expected), std::string::npos) << what << ": " << error;
+}
+
 TEST(TraceIo, RoundTripPreservesEveryField) {
   ir::Module m("t");
   testing::buildForkLoop(m, 20);
   harness::TracedRun run = harness::traceProgram(m);
 
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
+  const TraceFileMeta meta{0x0123456789abcdefull, 0xfedcba9876543210ull};
   std::string error;
-  auto back = readTrace(ss, &error);
+  const auto back = openBytes(v3Bytes(run.trace, meta), &error);
   ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->meta().word0, meta.word0);
+  EXPECT_EQ(back->meta().word1, meta.word1);
   ASSERT_EQ(back->size(), run.trace.size());
   for (std::size_t i = 0; i < run.trace.size(); ++i) {
     const Record& a = run.trace[i];
-    const Record& b = (*back)[i];
+    const Record& b = back->view()[i];
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.op, b.op);
     EXPECT_EQ(a.taken, b.taken);
@@ -37,6 +76,9 @@ TEST(TraceIo, RoundTripPreservesEveryField) {
     EXPECT_EQ(a.mem_addr, b.mem_addr);
     EXPECT_EQ(a.mem_old, b.mem_old);
   }
+
+  EXPECT_FALSE(MappedTrace::open(tracePath() + ".missing", &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 TEST(TraceIo, SimulationFromFileMatchesInMemory) {
@@ -44,9 +86,7 @@ TEST(TraceIo, SimulationFromFileMatchesInMemory) {
   testing::buildArraySum(m, 300);
   harness::TracedRun run = harness::traceProgram(m);
 
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  auto loaded = readTrace(ss);
+  const auto loaded = openBytes(v3Bytes(run.trace));
   ASSERT_TRUE(loaded.has_value());
 
   const support::MachineConfig config;
@@ -57,99 +97,102 @@ TEST(TraceIo, SimulationFromFileMatchesInMemory) {
   EXPECT_EQ(direct.breakdown.execution, from_file.breakdown.execution);
 }
 
-// v2 header: magic(8) + version(4) + count(8) + checksum(8).
-constexpr std::size_t kHeaderBytes = 28;
-constexpr std::size_t kRecordBytes = 40;
-
 TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTATRACExxxxxxxxxxxxxxx";
-  std::string error;
-  EXPECT_FALSE(readTrace(ss, &error).has_value());
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  ir::Module m("t");
+  testing::buildArraySum(m, 2);
+  harness::TracedRun run = harness::traceProgram(m);
+  std::string bytes = v3Bytes(run.trace);
+  bytes.replace(0, 8, "NOTATRAC");
+  expectRejected(bytes, "bad magic", "foreign magic");
 }
 
+// A file whose length disagrees with its header's record count is cut
+// short or carries trailing garbage; the diagnostic says which and where.
 TEST(TraceIo, RejectsTruncatedStream) {
   ir::Module m("t");
   testing::buildArraySum(m, 10);
   harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  std::string error;
-  EXPECT_FALSE(readTrace(cut, &error).has_value());
-  EXPECT_NE(error.find("truncated record stream"), std::string::npos) << error;
-  // The diagnostic names the byte offset of the record that fell short.
-  const std::size_t first_short = (full.size() / 2 - kHeaderBytes) / kRecordBytes;
-  const std::string offset = std::to_string(kHeaderBytes + first_short * kRecordBytes);
-  EXPECT_NE(error.find("byte offset " + offset), std::string::npos) << error;
+  const std::string full = v3Bytes(run.trace);
+
+  const std::string cut = full.substr(0, full.size() / 2);
+  expectRejected(cut, "record stream size mismatch", "truncated");
+  expectRejected(cut,
+                 "truncated at byte offset " + std::to_string(cut.size()),
+                 "truncated");
+
+  for (const std::size_t extra : {std::size_t{1}, kRecordBytes}) {
+    const std::string what = std::to_string(extra) + " trailing bytes";
+    const std::string padded = full + std::string(extra, '\0');
+    expectRejected(padded, "record stream size mismatch", what);
+    expectRejected(padded, "(trailing garbage)", what);
+  }
 }
 
 TEST(TraceIo, RejectsCorruptKind) {
   ir::Module m("t");
   testing::buildArraySum(m, 2);
   harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  std::string bytes = ss.str();
+  std::string bytes = v3Bytes(run.trace);
   bytes[kHeaderBytes] = 0x7f;  // first record's kind byte
-  std::stringstream corrupt(bytes);
-  std::string error;
-  EXPECT_FALSE(readTrace(corrupt, &error).has_value());
-  EXPECT_NE(error.find("corrupt record kind"), std::string::npos) << error;
-  EXPECT_NE(error.find("byte offset " + std::to_string(kHeaderBytes)),
-            std::string::npos)
-      << error;
+  expectRejected(bytes, "corrupt record kind", "kind 0x7f");
+  expectRejected(bytes, "byte offset " + std::to_string(kHeaderBytes),
+                 "kind 0x7f");
 }
 
+// Header fields the reader refuses to guess about: a foreign version —
+// including the retired v2 record stream — and reserved flag bits.
 TEST(TraceIo, RejectsVersionMismatch) {
   ir::Module m("t");
   testing::buildArraySum(m, 2);
   harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  std::string bytes = ss.str();
+  const std::string full = v3Bytes(run.trace);
+
+  std::string bytes = full;
   bytes[8] = 99;  // version field (little-endian low byte)
-  std::stringstream bad(bytes);
-  std::string error;
-  EXPECT_FALSE(readTrace(bad, &error).has_value());
-  EXPECT_NE(error.find("unsupported trace version 99"), std::string::npos)
-      << error;
-}
+  expectRejected(bytes, "unsupported trace version 99", "version 99");
 
-// Satellite: byte-truncation at many offsets of serialized random programs.
-// Every truncation point must be rejected with a diagnostic that names a
-// byte offset (header truncations name the missing field instead).
-TEST(TraceIo, TruncationAtAnyOffsetIsDiagnosed) {
-  ir::Module m = testing::generateRandomProgram(3);
-  const harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  const std::string full = ss.str();
-  ASSERT_GT(full.size(), kHeaderBytes + 2 * kRecordBytes);
+  bytes[8] = 2;
+  expectRejected(bytes, "unsupported trace version 2 (expected 3)",
+                 "version 2");
 
-  for (std::size_t cut = 1; cut < full.size(); cut += 97) {
-    std::stringstream truncated(full.substr(0, cut));
-    std::string error;
-    ASSERT_FALSE(readTrace(truncated, &error).has_value()) << "cut " << cut;
-    ASSERT_FALSE(error.empty()) << "cut " << cut;
-    if (cut >= kHeaderBytes) {
-      EXPECT_NE(error.find("byte offset"), std::string::npos)
-          << "cut " << cut << ": " << error;
-    }
+  for (const std::size_t flag_byte : {12u, 15u}) {
+    const std::string what = "flags byte " + std::to_string(flag_byte);
+    bytes = full;
+    bytes[flag_byte] = 1;
+    expectRejected(bytes, "unsupported v3 flags", what);
+    expectRejected(bytes, "at byte offset 12", what);
   }
 }
 
-// Satellite: single-bit flips anywhere in the record stream are caught —
-// either as an out-of-range kind/opcode at a named offset or by the
+// Byte-truncation at many offsets of a serialized random program. Every
+// truncation point must be rejected: inside the header with the header's
+// size, past it with the byte offset where the records stop.
+TEST(TraceIo, TruncationAtAnyOffsetIsDiagnosed) {
+  ir::Module m = testing::generateRandomProgram(3);
+  const harness::TracedRun run = harness::traceProgram(m);
+  const std::string full = v3Bytes(run.trace);
+  ASSERT_GT(full.size(), kHeaderBytes + 2 * kRecordBytes);
+
+  for (std::size_t cut = 1; cut < full.size(); cut += 97) {
+    std::string error;
+    ASSERT_FALSE(openBytes(full.substr(0, cut), &error).has_value())
+        << "cut " << cut;
+    ASSERT_FALSE(error.empty()) << "cut " << cut;
+    const std::string expected =
+        cut < kHeaderBytes ? "truncated header: file is " + std::to_string(cut)
+                           : "truncated at byte offset " + std::to_string(cut);
+    EXPECT_NE(error.find(expected), std::string::npos)
+        << "cut " << cut << ": " << error;
+  }
+}
+
+// Single-bit flips anywhere in the record stream are caught — either as an
+// out-of-range kind/opcode/taken/pad byte at a named offset or by the
 // whole-stream checksum.
 TEST(TraceIo, BitFlipsAreDetected) {
   ir::Module m = testing::generateRandomProgram(5);
   const harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  const std::string full = ss.str();
+  const std::string full = v3Bytes(run.trace);
 
   std::size_t checksum_hits = 0;
   std::size_t range_hits = 0;
@@ -157,9 +200,8 @@ TEST(TraceIo, BitFlipsAreDetected) {
     for (int bit : {0, 4, 7}) {
       std::string bytes = full;
       bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
-      std::stringstream corrupt(bytes);
       std::string error;
-      ASSERT_FALSE(readTrace(corrupt, &error).has_value())
+      ASSERT_FALSE(openBytes(bytes, &error).has_value())
           << "byte " << byte << " bit " << bit;
       if (error.find("checksum mismatch") != std::string::npos) {
         ++checksum_hits;
@@ -175,7 +217,7 @@ TEST(TraceIo, BitFlipsAreDetected) {
   EXPECT_GT(range_hits, 0u);
 }
 
-void expectRecordsEqual(const TraceBuffer& a, const TraceBuffer& b) {
+void expectRecordsEqual(TraceView a, TraceView b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const Record& ra = a[i];
@@ -194,8 +236,7 @@ void expectRecordsEqual(const TraceBuffer& a, const TraceBuffer& b) {
   }
 }
 
-void expectSameLoopIndex(const ir::Module& m, const TraceBuffer& a,
-                         const TraceBuffer& b) {
+void expectSameLoopIndex(const ir::Module& m, TraceView a, TraceView b) {
   const LoopIndex ia(m, a);
   const LoopIndex ib(m, b);
   ASSERT_EQ(ia.episodes().size(), ib.episodes().size());
@@ -216,7 +257,7 @@ void expectSameLoopIndex(const ir::Module& m, const TraceBuffer& a,
 
 // Property test: seeded random programs (induction chains, scattered
 // loads/stores, calls, conditional blocks) survive a disk round trip
-// record-exactly, and the LoopIndex rebuilt from the reloaded trace is
+// record-exactly, and the LoopIndex rebuilt from the mapped trace is
 // identical — episodes, iteration boundaries, and fork start-points.
 TEST(TraceIo, RandomProgramRoundTripProperty) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -224,25 +265,21 @@ TEST(TraceIo, RandomProgramRoundTripProperty) {
     const harness::TracedRun run = harness::traceProgram(m);
     ASSERT_GT(run.trace.size(), 0u) << "seed " << seed;
 
-    std::stringstream ss;
-    ASSERT_TRUE(writeTrace(ss, run.trace)) << "seed " << seed;
     std::string error;
-    auto back = readTrace(ss, &error);
+    const auto back = openBytes(v3Bytes(run.trace), &error);
     ASSERT_TRUE(back.has_value()) << "seed " << seed << ": " << error;
     expectRecordsEqual(run.trace, *back);
     expectSameLoopIndex(m, run.trace, *back);
   }
 }
 
-// Fork records specifically: the reloaded trace must resolve every fork
-// to the same speculative start-point as the in-memory trace.
+// Fork records specifically: the mapped trace must resolve every fork to
+// the same speculative start-point as the in-memory trace.
 TEST(TraceIo, ForkResolutionSurvivesRoundTrip) {
   ir::Module m("t");
   testing::buildForkLoop(m, 25);
   const harness::TracedRun run = harness::traceProgram(m);
-  std::stringstream ss;
-  ASSERT_TRUE(writeTrace(ss, run.trace));
-  auto back = readTrace(ss);
+  const auto back = openBytes(v3Bytes(run.trace));
   ASSERT_TRUE(back.has_value());
 
   const LoopIndex original(m, run.trace);
@@ -256,19 +293,6 @@ TEST(TraceIo, ForkResolutionSurvivesRoundTrip) {
   }
   EXPECT_GT(resolved_forks, 0u);
   expectSameLoopIndex(m, run.trace, *back);
-}
-
-TEST(TraceIo, FileHelpers) {
-  ir::Module m("t");
-  testing::buildFib(m, 6);
-  harness::TracedRun run = harness::traceProgram(m);
-  const std::string path = ::testing::TempDir() + "/spt_trace_test.bin";
-  ASSERT_TRUE(writeTraceFile(path, run.trace));
-  std::string error;
-  auto back = readTraceFile(path, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->size(), run.trace.size());
-  EXPECT_FALSE(readTraceFile(path + ".missing").has_value());
 }
 
 }  // namespace
